@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 
+from . import __version__ as VERSION
 from .series_core import rat_str, rat_parse
 from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, solve_one_cut,
                             planar_free_energy, gamma_two_sameface)
@@ -32,8 +33,6 @@ from .observables import (BranchError, IntegrationObstruction, neighbor_pgf,
                           vertices_at_distance_asymptotic)
 from .branching import (OutOfRange, BranchingConfig, simulate_extinction,
                         escape_interval, extinction_exact, escape_exact)
-
-VERSION = "0.1.0"
 
 # solver-level failures: the request was well-formed but the computation
 # left its validity region or an internal identity failed

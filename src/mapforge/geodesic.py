@@ -61,46 +61,46 @@ def _bracket(Rw, Sw, n_from, n_to, steps, order):
 
 
 def solve_Rn_series(weights, n_max, order):
-    """Triangular solve of the distance recursion for the given couplings."""
+    """Triangular solve of the distance recursion for the given couplings.
+
+    The unknowns are the window R_0..R_top, S_0..S_top, solved as one
+    system; beyond top the window reads the bulk solution."""
     V = Potential(weights)
     sol = solve_one_cut(V, order)
     even = V.is_even()
     b = max(V.degree() // 2 - 1, 1)
     top = n_max + order + 1
     g = TruncSeries.gen("g", order)
-    one = TruncSeries.const("g", 1, order)
-    zero = TruncSeries.const("g", 0, order)
-    R = {n: one for n in range(top + 1)}
-    S = {n: zero for n in range(top + 1)}
 
-    def Rw(h):
-        if h < 0:
-            return None
-        return R[h] if h <= top else sol.R
+    def equation(X):
+        R, S = X[:top + 1], X[top + 1:]
 
-    def Sw(h):
-        if even or h < 0:
-            return None
-        s = S[h] if h <= top else sol.S
-        return s if not s.is_zero() else None
+        def Rw(h):
+            if h < 0:
+                return None
+            return R[h] if h <= top else sol.R
 
-    for _ in range(order + 2):
-        newR, newS = {}, {}
+        def Sw(h):
+            if even or h < 0:
+                return None
+            s = S[h] if h <= top else sol.S
+            return s if not s.is_zero() else None
+
+        newR, newS = [], []
         for n in range(top + 1):
-            acc = one
+            acc = 1
+            sacc = 0
             for v, gv in V.couplings.items():
                 acc = acc + g * gv * _bracket(Rw, Sw, n, n - 1, v - 1, order)
-            newR[n] = acc
-            if not even:
-                sacc = zero
-                for v, gv in V.couplings.items():
+                if not even:
                     sacc = sacc + g * gv * _bracket(Rw, Sw, n, n, v - 1, order)
-                newS[n] = sacc
-        R.update(newR)
-        if not even:
-            S.update(newS)
-    keepR = {n: R[n] for n in range(n_max + 1)}
-    keepS = {n: S[n] for n in range(n_max + 1)}
+            newR.append(acc)
+            newS.append(sacc)
+        return newR + newS
+
+    X = fixed_point_solve(equation, (1,) * (top + 1) + (0,) * (top + 1), order)
+    keepR = {n: X[n] for n in range(n_max + 1)}
+    keepS = {n: X[top + 1 + n] for n in range(n_max + 1)}
     return GeodesicSeries(keepR, keepS, order, n_max, b, sol.R, sol.S)
 
 

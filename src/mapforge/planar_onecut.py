@@ -14,7 +14,7 @@ equation is trivial.
 from fractions import Fraction
 from math import comb, factorial, pi, sqrt as fsqrt
 
-from .series_core import SymbolPoly, TruncSeries
+from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 
 
 class EvenOnly(ValueError):
@@ -95,19 +95,19 @@ def _vprime_m(V, m, S, R, g):
 def solve_one_cut(V, order):
     """Series solution with R = 1 + O(g), S = O(g)."""
     g = TruncSeries.gen("g", order)
-    R = TruncSeries.const("g", 1, order)
-    S = TruncSeries.const("g", 0, order)
     even = V.is_even()
-    for _ in range(order + 2):
+
+    def equation(X):
         # R = 1 + sum g_i [w^{-1}](...)^{i-1},  S = sum g_i [w^0](...)^{i-1}
-        newR = TruncSeries.const("g", 1, order)
-        newS = TruncSeries.const("g", 0, order)
+        R, S = X
+        newR, newS = 1, 0
         for v, gi in V.couplings.items():
             newR = newR + g * gi * _laurent_coeff_of_power(v - 1, -1, S, R)
             if not even:
                 newS = newS + g * gi * _laurent_coeff_of_power(v - 1, 0, S, R)
-        R, S = newR, newS
-    sol = OneCutSolution(R, S)
+        return newR, newS
+
+    sol = OneCutSolution(*fixed_point_solve(equation, (1, 0), order))
     assert residue_coeff(V, sol, 0).is_zero()
     assert residue_coeff(V, sol, -1) == 1
     return sol
@@ -139,17 +139,17 @@ def r_of_z(V, order):
     with coefficients polynomial in z (z carried as a Laurent symbol)."""
     if not V.is_even():
         raise EvenOnly("r(z) is defined for even potentials")
-    syms, lau = ("z",), ("z",)
-    z = SymbolPoly.sym(syms, "z", lau)
+    z = SymbolPoly.sym(("z",), "z", ("z",))
     g = TruncSeries.gen("g", order)
-    r = TruncSeries.const("g", z, order)
-    for _ in range(order + 2):
+
+    def equation(r):
         acc = TruncSeries.const("g", z, order)
         for v, gi in V.couplings.items():
             k = v // 2
             acc = acc + g * (gi * comb(2 * k - 1, k)) * r ** k
-        r = acc
-    return r
+        return acc
+
+    return fixed_point_solve(equation, z, order)
 
 
 def planar_free_energy(V, order):
@@ -161,10 +161,11 @@ def planar_free_energy(V, order):
     """
     if not V.is_even():
         raise EvenOnly("planar free energy implemented for even potentials")
-    if set(V.couplings) == {4} or not V.couplings:
-        sol = solve_one_cut(V, order)
-        R = sol.R
-        return R.log() / 2 + (R - 1) * (R - 9) / 24
+    if set(V.couplings) <= {4}:
+        # f depends on the coupling only through g4 * g
+        g4 = V.couplings.get(4, 0)
+        f = quartic_closed_form_f(order)
+        return TruncSeries("g", [g4 ** k * c for k, c in enumerate(f.coeffs)])
     return _free_energy_integral(V, order)
 
 

@@ -219,15 +219,6 @@ class SymbolPoly:
             total += factor
         return total
 
-    def evalf(self, **values):
-        total = 0.0
-        for e, c in self.terms.items():
-            factor = float(c)
-            for s, ei in zip(self.symbols, e):
-                factor *= float(values[s]) ** ei
-            total += factor
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -443,41 +434,46 @@ class TruncSeries:
                 out.append(rat_str(c))
         return out
 
-    # elementary functions
+    # elementary functions, each one O(n^2) coefficient recurrence
 
     def log(self):
         if self.coeffs[0] != 1:
             raise BadConstantTerm("log needs constant term 1")
-        x = self - 1
-        return _alternating_sum(x, lambda k: Fraction((-1) ** (k + 1), k))
+        return (self.derivative() / self).integrate()
 
     def exp(self):
+        """h = exp(f) from h' = f'h:  n h_n = sum_{k=1..n} k f_k h_{n-k}."""
         if not _coeff_is_zero(self.coeffs[0]):
             raise BadConstantTerm("exp needs constant term 0")
-        out = TruncSeries.const(self.var, 1, self.order)
-        term = TruncSeries.const(self.var, 1, self.order)
-        for k in range(1, self.order + 1):
-            term = term * self / k
-            out = out + term
-        return out
+        return self._unit_recurrence(lambda n, k: k)
 
     def sqrt(self):
         return self.pow_frac(Fraction(1, 2))
 
     def pow_frac(self, r):
-        """(series)^r for rational r, constant term must be 1."""
+        """(series)^r for rational r, constant term must be 1.
+
+        J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from
+        f h' = r f' h with f_0 = 1:
+        n h_n = sum_{k=1..n} ((r+1)k - n) f_k h_{n-k}.
+        """
         if self.coeffs[0] != 1:
             raise BadConstantTerm("pow needs constant term 1")
-        r = Fraction(r)
-        x = self - 1
-        out = TruncSeries.const(self.var, 1, self.order)
-        term = TruncSeries.const(self.var, 1, self.order)
-        binom = Fraction(1)
-        for k in range(1, self.order + 1):
-            binom = binom * (r - (k - 1)) / k
-            term = term * x
-            out = out + term * binom
-        return out
+        r1 = Fraction(r) + 1
+        return self._unit_recurrence(lambda n, k: r1 * k - n)
+
+    def _unit_recurrence(self, weight):
+        """h with h_0 = 1 and n h_n = sum_{k=1..n} weight(n, k) f_k h_{n-k},
+        f being self."""
+        f = self.coeffs
+        h = [Fraction(1)]
+        for n in range(1, self.order + 1):
+            acc = Fraction(0)
+            for k in range(1, n + 1):
+                if not _coeff_is_zero(f[k]):
+                    acc = acc + weight(n, k) * f[k] * h[n - k]
+            h.append(acc / n)
+        return TruncSeries(self.var, h)
 
     def compose(self, inner):
         """self(inner); inner must have zero constant term."""
@@ -522,56 +518,29 @@ class TruncSeries:
         return TruncSeries(self.var, out)
 
 
-def _alternating_sum(x, coeff_fn):
-    out = TruncSeries.const(x.var, 0, x.order)
-    term = TruncSeries.const(x.var, 1, x.order)
-    for k in range(1, x.order + 1):
-        term = term * x
-        out = out + term * coeff_fn(k)
-    return out
-
-
-def ring_arith(a, b, op):
-    """Dispatch named arithmetic; kept for the documented operation table."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(op)
-
-
-def elementary(a, fn, r=None):
-    if fn == "log":
-        return a.log()
-    if fn == "exp":
-        return a.exp()
-    if fn == "sqrt":
-        return a.sqrt()
-    if fn == "pow":
-        return a.pow_frac(r)
-    raise ValueError(fn)
-
-
 def fixed_point_solve(equation, seed, order, var="g"):
     """Solve X = equation(X) when the map is triangular in the degree.
 
-    Starts from the constant seed and iterates; each pass fixes at least one
-    further order, so order+2 passes suffice.  A final re-application must
-    reproduce X exactly, otherwise the dependence was not triangular.
+    X is one series, or a tuple of series when seed is a tuple (a system
+    of equations).  Coefficient k of equation(X) may depend only on the
+    coefficients < k of X, so pass k runs at truncation order k and fixes
+    coefficient k; binary operations truncate to the shorter operand, so an
+    equation that captures full-order series runs at the pass's order.  A
+    final re-application at full order must reproduce X exactly, otherwise
+    the dependence was not triangular.
     """
-    x = TruncSeries.const(var, seed, order)
-    for _ in range(order + 2):
-        nxt = equation(x)
-        if not isinstance(nxt, TruncSeries):
-            nxt = TruncSeries.const(var, nxt, order)
-        x = nxt.truncate(order)
-    check = equation(x)
-    if not isinstance(check, TruncSeries):
-        check = TruncSeries.const(var, check, order)
-    if check.truncate(order) != x:
+    system = isinstance(seed, tuple)
+
+    def apply(xs, k):
+        out = equation(xs) if system else (equation(xs[0]),)
+        return tuple((y if isinstance(y, TruncSeries)
+                      else TruncSeries.const(var, y, k)).truncate(k)
+                     for y in out)
+
+    xs = tuple(TruncSeries.const(var, s, 0) for s in
+               (seed if system else (seed,)))
+    for k in range(order + 1):
+        xs = apply(tuple(x.truncate(k) for x in xs), k)
+    if apply(xs, order) != xs:
         raise NotContracting("fixed point iteration did not stabilize")
-    return x
+    return xs if system else xs[0]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,6 +112,23 @@ def test_fixed_point_non_triangular():
         fixed_point_solve(lambda x: x + 1, 0, 3)
 
 
+def test_fixed_point_tuple_system():
+    # X = 1 + g Y^2, Y = 1 + g X; eliminating Y gives X = 1 + g (1 + g X)^2
+    g = TruncSeries.gen("g", 8)
+    X, Y = fixed_point_solve(lambda xy: (1 + g * xy[1] * xy[1], 1 + g * xy[0]),
+                             (1, 1), 8)
+    assert X == fixed_point_solve(lambda x: 1 + g * (1 + g * x) ** 2, 1, 8)
+    assert Y == 1 + g * X
+    assert X.coeffs[:5] == [1, 1, 2, 3, 6]
+    assert X.order == Y.order == 8
+
+
+def test_fixed_point_tuple_non_triangular():
+    # each unknown needs the other's coefficient of the same degree
+    with pytest.raises(NotContracting):
+        fixed_point_solve(lambda xy: (xy[1] + 1, xy[0]), (0, 0), 3)
+
+
 rat = st.builds(F, st.integers(-50, 50), st.integers(1, 9))
 series6 = st.lists(rat, min_size=7, max_size=7).map(lambda c: S(c))
 unit_series = st.lists(rat, min_size=6, max_size=6).map(lambda c: S([F(1)] + c))
@@ -130,6 +148,41 @@ def test_ring_laws(a, b, c):
 def test_exp_log_and_sqrt_roundtrip(a):
     assert a.log().exp() == a
     assert a.sqrt() * a.sqrt() == a
+
+
+def _taylor_reference(x, coeff):
+    """sum_{k>=0} coeff(k) x^k by repeated multiplication, x = O(g)."""
+    out = TruncSeries.const(x.var, 0, x.order)
+    term = TruncSeries.const(x.var, 1, x.order)
+    for k in range(x.order + 1):
+        out = out + term * coeff(k)
+        term = term * x
+    return out
+
+
+def _binom(r, k):
+    out = F(1)
+    for i in range(k):
+        out = out * (r - i) / (i + 1)
+    return out
+
+
+N_SYMS = ("N",)
+laurent_n = st.dictionaries(st.tuples(st.integers(-2, 2)), rat, max_size=3).map(
+    lambda terms: SymbolPoly(N_SYMS, terms, laurent=N_SYMS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(st.lists(rat, min_size=5, max_size=5),
+                 st.lists(laurent_n, min_size=4, max_size=4)))
+def test_elementary_functions_match_taylor_sums(tail):
+    x = S([tail[0] * 0] + tail)     # zero constant term, in the tail's ring
+    log_c = lambda k: F((-1) ** (k + 1), k) if k else 0  # noqa: E731
+    assert (1 + x).log() == _taylor_reference(x, log_c)
+    assert x.exp() == _taylor_reference(x, lambda k: F(1, factorial(k)))
+    for r in (F(-1, 2), F(1, 3), F(2, 3)):
+        assert (1 + x).pow_frac(r) == _taylor_reference(
+            x, lambda k: _binom(r, k))
 
 
 @settings(max_examples=25, deadline=None)
