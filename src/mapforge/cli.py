@@ -35,11 +35,13 @@ from .branching import (OutOfRange, BranchingConfig, simulate_extinction,
                         escape_interval, extinction_exact, escape_exact)
 
 # solver-level failures: the request was well-formed but the computation
-# left its validity region or an internal identity failed
+# left its validity region, an internal identity failed, or it ran out of
+# stack or memory
 NUMERIC_ERRORS = (OutOfOneCut, OutOfRange, BranchError, DomainError,
                   NoPhysicalRoot, IncreaseM, DegenerateMeasure,
                   StructureViolation, DeepenCutoff, AlgebraBug,
-                  IntegrationObstruction, EvenOnly)
+                  IntegrationObstruction, EvenOnly, RecursionError,
+                  MemoryError)
 
 
 class BadParameter(ValueError):
@@ -224,8 +226,6 @@ def _cmd_stringeq(args):
 
 def _cmd_geodesic(args):
     if args.continuum:
-        if args.format == "json":
-            args.format = "csv"
         rows = []
         r_grid = [0.5 + 0.1 * i for i in range(16)]
         for r in r_grid:
@@ -399,7 +399,6 @@ def build_parser():
     p = sub.add_parser("sample")
     p.add_argument("--faces", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--emit", default="profile")
     p.add_argument("--dump-maps", default=None, metavar="PATH")
     common(p, "csv", seeded=True)
     p.set_defaults(func=_cmd_sample)

@@ -16,7 +16,9 @@ from math import comb, sqrt
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import Potential, solve_one_cut
 from .geodesic import solve_Rn_series
-from .bijections import distance_profile, sample_quadrangulation_uniform
+from .bijections import (_free_label_shape, _rng, distance_profile,
+                         random_plane_tree, sample_quadrangulation_uniform,
+                         tree_label_profile)
 
 
 class IntegrationObstruction(ValueError):
@@ -414,8 +416,6 @@ def mc_profile(A, n_max, samples, seed, method="reweighted"):
     samples that measure directly from the shifted tree labels."""
     if method not in ("reweighted", "pointed"):
         raise ValueError("unknown method")
-    sums = [0.0] * (n_max + 1)
-    sq = [[] for _ in range(n_max + 1)]
     data = []
     wts = []
     for i in range(samples):
@@ -424,8 +424,6 @@ def mc_profile(A, n_max, samples, seed, method="reweighted"):
             counts, deg = distance_profile(m)
             w = 1.0 / deg
         else:
-            from .bijections import (_rng, random_plane_tree,
-                                     _free_label_shape, tree_label_profile)
             rng = _rng(seed, i)
             t = _free_label_shape(random_plane_tree(A, rng), rng)
             labs = tree_label_profile(t)

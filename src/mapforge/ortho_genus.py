@@ -100,31 +100,25 @@ def _insertion_profiles(valences, budget):
 
 
 def hankel_dets(moments, M):
-    """Determinants D_1..D_M of the leading Hankel blocks (nu_{i+j})."""
+    """Determinants D_1..D_M of the leading Hankel blocks (nu_{i+j}).
+
+    One Gaussian elimination of the M x M block without row exchanges:
+    pivot k depends only on the leading k x k block, so D_k = D_{k-1} *
+    pivot_k.  Pivots stay invertible because the g=0 matrix is the Hankel
+    matrix of a positive measure."""
+    mat = [[moments[i + j] for j in range(M)] for i in range(M)]
     dets = []
-    for size in range(1, M + 1):
-        mat = [[moments[i + j] for j in range(size)] for i in range(size)]
-        dets.append(_det_series(mat))
-    return dets
-
-
-def _det_series(mat):
-    """Gaussian elimination; pivots stay invertible because the g=0 matrix
-    is the Hankel matrix of a positive measure."""
-    n = len(mat)
-    mat = [row[:] for row in mat]
-    det = None
-    for k in range(n):
+    for k in range(M):
         piv = mat[k][k]
         pc = piv.coeffs[0]
         if (isinstance(pc, SymbolPoly) and not pc) or pc == 0:
             raise DegenerateMeasure("zero pivot in Hankel elimination")
-        det = piv if det is None else det * piv
-        for i in range(k + 1, n):
+        dets.append(dets[-1] * piv if dets else piv)
+        for i in range(k + 1, M):
             factor = mat[i][k] / piv
-            for j in range(k, n):
+            for j in range(k, M):
                 mat[i][j] = mat[i][j] - factor * mat[k][j]
-    return det
+    return dets
 
 
 def hankel_norms(couplings, order, M):
@@ -260,19 +254,21 @@ def exact_free_energy_FN(couplings, order, M=None):
 
     The summand log(N r_m/m) is interpolated as a polynomial in m and the
     sum to N-1 is done symbolically; identical results for window sizes M
-    and M+1 are required, otherwise IncreaseM is raised.
+    and M+1 are required, otherwise IncreaseM is raised.  Window M is a
+    prefix of window M+1, so both read one set of log ratios.
     """
     if M is None:
         M = 2 * order + 6
-    big = exact_free_energy_fixed_window(couplings, order, M + 1)
-    small = exact_free_energy_fixed_window(couplings, order, M)
+    gamma0, lam = log_ratio_terms(couplings, order, M + 1)
+    big = _fixed_window(gamma0, lam, order, M + 1)
+    small = _fixed_window(gamma0, lam, order, M)
     if big != small:
         raise IncreaseM("free energy did not stabilize at window %d" % M)
     return big
 
 
-def exact_free_energy_fixed_window(couplings, order, M):
-    gamma0, lam = log_ratio_terms(couplings, order, M)
+def _fixed_window(gamma0, lam, order, M):
+    """F_N from the summands lam[1..M-1] of window M."""
     coeffs = [_npoly()]
     for k in range(1, order + 1):
         samples = {}

@@ -53,7 +53,8 @@ class SymbolPoly:
         self.laurent = frozenset(laurent)
         clean = {}
         for expo, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c == 0:
                 continue
             expo = tuple(expo)

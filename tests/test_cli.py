@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from mapforge import cli
 from mapforge.cli import main, diffpoly_text
 from mapforge.series_core import rat_parse
 from mapforge.string_eq import kdv_residue
@@ -150,6 +151,32 @@ def test_validation_exit_codes(capsys):
 def test_numeric_exit_codes(capsys):
     assert run(capsys, "branching", "--p", "0.7")[0] == 3
     assert run(capsys, "geodesic", "--continuum", "--eps", "0.5")[0] == 3
+
+
+@pytest.mark.parametrize("error", [RecursionError, MemoryError])
+def test_resource_errors_exit_3_without_traceback(monkeypatch, capsys, error):
+    def boom(args):
+        raise error("out of resources")
+    monkeypatch.setattr(cli, "_cmd_sample", boom)
+    code = main(["sample", "--faces", "4", "--samples", "1", "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "%s: out of resources\n" % error.__name__
+    assert "Traceback" not in captured.err
+
+
+def test_geodesic_continuum_honours_format(capsys):
+    doc = run_json(capsys, "geodesic", "--continuum")
+    assert doc["metadata"]["parameters"]["format"] == "json"
+    grid = doc["results"]["grid"]
+    assert [float(p["r"]) for p in grid][:2] == [0.5, 0.6]
+    code, out = run(capsys, "geodesic", "--continuum", "--format", "csv")
+    assert code == 0
+    assert "# format=csv" in out.splitlines()
+    rows = [l for l in out.splitlines() if not l.startswith("#")]
+    assert rows[0] == "r,F,G,deviation"
+    assert [r.split(",") for r in rows[1:]] == [
+        [p["r"], p["F"], p["G"], p["deviation"]] for p in grid]
 
 
 def test_metadata_echoes_parameters(capsys):

@@ -1,13 +1,16 @@
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from mapforge.series_core import TruncSeries
 from mapforge.wick_fatgraphs import connected_free_energy_F
 from mapforge.planar_onecut import Potential, solve_one_cut
+from mapforge import ortho_genus
 from mapforge.ortho_genus import (
-    NoPhysicalRoot, exact_free_energy_FN, gaussian_h, genus_extract,
-    genus_one_closed_form, hankel_norms, hard_dimer, moments_from_potential,
+    IncreaseM, NoPhysicalRoot, exact_free_energy_FN, gaussian_h,
+    genus_extract, genus_one_closed_form, hankel_dets, hankel_norms,
+    hard_dimer, moments_from_potential,
     pure_gravity_quartic, string_recursion_residual, two_marked_faces,
     _N, _npoly,
 )
@@ -35,6 +38,50 @@ def test_gaussian_hankel_ratios():
         assert h[m] == TruncSeries.const("g", gaussian_h(m), 3)
     for m in range(1, 6):
         assert r[m] == TruncSeries.const("g", m * _N(-1), 3)
+
+
+def _leibniz_det(mat):
+    """Independent oracle: sum over permutations of signed products."""
+    n = len(mat)
+    total = TruncSeries.zero("g", mat[0][0].order)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = mat[0][perm[0]]
+        for i in range(1, n):
+            term = term * mat[i][perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def test_hankel_dets_are_leading_minors():
+    mom = moments_from_potential({4: 1, 6: 1}, 2, 10)
+    dets = hankel_dets(mom, 5)
+    assert len(dets) == 5
+    for size, det in enumerate(dets, 1):
+        block = [[mom[i + j] for j in range(size)] for i in range(size)]
+        assert det == _leibniz_det(block)
+
+
+def test_free_energy_one_elimination_per_call(monkeypatch):
+    calls = {"hankel_dets": 0, "log_ratio_terms": 0}
+    for name in calls:
+        inner = getattr(ortho_genus, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(ortho_genus, name, counted)
+    exact_free_energy_FN({4: F(1)}, 2)
+    assert calls == {"hankel_dets": 1, "log_ratio_terms": 1}
+
+
+def test_free_energy_window_stabilisation():
+    # windows 3..5 are too small for order 3; from 6 on the result is final
+    with pytest.raises(IncreaseM):
+        exact_free_energy_FN({4: F(1)}, 3, M=5)
+    assert exact_free_energy_FN({4: F(1)}, 3, M=6) == \
+        exact_free_energy_FN({4: F(1)}, 3)
 
 
 def test_string_recursion_quartic_and_sextic():
