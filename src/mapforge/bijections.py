@@ -736,17 +736,3 @@ def tree_label_profile(t):
     rec(t)
     return out
 
-
-def tree_degree_of_origin(t):
-    """Degree of the origin in the quadrangulation: the number of corners
-    at label-0 vertices of the tree."""
-    acc = [0]
-
-    def rec(node, has_parent):
-        if node[0] == 0:
-            acc[0] += len(node[1]) + (1 if has_parent else 0)
-        for c in node[1]:
-            rec(c, True)
-
-    rec(t, False)
-    return acc[0]

@@ -14,8 +14,6 @@ from math import cos, pi, sin, sqrt
 import random
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ellipj, ellipk
 
 from .geodesic import DomainError, exact_Rn_quartic
 
@@ -233,6 +231,7 @@ def _theta_R_g(L, q):
 
 def theta_bounded_Rn(L, g):
     """Solve the nome equation for q and build the theta-function solution."""
+    from scipy.optimize import brentq
     # the product form needs ~16/(1-q) factors, so stay below .995
     lo, hi = 1e-9, 0.995
 
@@ -267,6 +266,8 @@ class WeierstrassProfile:
     third invariant is fixed by the half-period condition."""
 
     def __init__(self, lam):
+        from scipy.optimize import brentq
+        from scipy.special import ellipk
         self.lam = lam
 
         def omega(g3):
@@ -283,6 +284,7 @@ class WeierstrassProfile:
         self.m = (self.e[1] - self.e[2]) / (self.e[0] - self.e[2])
 
     def wp(self, r):
+        from scipy.special import ellipj
         sn = ellipj(r * sqrt(self.e[0] - self.e[2]), self.m)[0]
         return self.e[2] + (self.e[0] - self.e[2]) / sn ** 2
 

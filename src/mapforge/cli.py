@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__ as VERSION
-from .series_core import rat_str, rat_parse
+from .series_core import TruncSeries, rat_str, rat_parse
 from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, solve_one_cut,
                             planar_free_energy, gamma_two_sameface)
 from .wick_fatgraphs import TooLarge, connected_free_energy_F, genus_split
@@ -25,7 +25,7 @@ from .ortho_genus import (IncreaseM, NoPhysicalRoot, DegenerateMeasure,
                           StructureViolation, exact_free_energy_FN,
                           genus_extract)
 from .string_eq import DeepenCutoff, AlgebraBug, kdv_residue, commutator_check
-from .geodesic import (DomainError, solve_Rn_series, integral_of_motion,
+from .geodesic import (DomainError, quartic_coeff_table, integral_of_motion,
                        scaling_F, scaling_G, discrete_to_continuum_check)
 from .bijections import sample_quadrangulation_uniform, distance_profile
 from .observables import (BranchError, IntegrationObstruction, neighbor_pgf,
@@ -238,18 +238,21 @@ def _cmd_geodesic(args):
     emits = _parse_emit(args.emit, {"Rn", "Gn", "motion"})
     if args.n < 0:
         raise BadParameter("n must be >= 0")
-    gs = solve_Rn_series({4: args.g4}, args.n + 1, args.order)
+    if args.order < 0:
+        raise BadParameter("order must be >= 0")
+    # the table is R_n at g4 = 1; coupling g4 scales order k by g4^k
+    table = quartic_coeff_table(args.n + 1, args.order)
+    R = {m: TruncSeries("g", [c * args.g4 ** k for k, c in enumerate(row)])
+         for m, row in table.items()}
     series = {}
     if "Rn" in emits:
-        series["Rn"] = gs.R[args.n]
+        series["Rn"] = R[args.n]
     if "Gn" in emits:
-        prev = gs.R[args.n - 1] if args.n > 0 else 0
-        series["Gn"] = gs.R[args.n] - prev
+        prev = R[args.n - 1] if args.n > 0 else 0
+        series["Gn"] = R[args.n] - prev
     if "motion" in emits:
-        from .series_core import TruncSeries
         g = TruncSeries.gen("g", args.order)
-        series["motion"] = integral_of_motion(
-            (gs.R[args.n], gs.R[args.n + 1]), g)
+        series["motion"] = integral_of_motion((R[args.n], R[args.n + 1]), g)
     results = {name: _series_strs(series[name]) for name in emits}
     rows = [[k] + [series[name].coeffs[k] for name in emits]
             for k in range(args.order + 1)]

@@ -5,10 +5,14 @@ Q|n> = |n+1> + S_n|n> + R_n|n-1> with vanishing negative indices; the
 recursion R_n = 1 + sum_i g g_i <n-1|Q^{i-1}|n> (plus <n|V'(Q)|n> = 0
 fixing S_n when odd valences are present) is solved on a finite window
 whose tail is seeded with the translation-invariant bulk solution.
+Pure-quartic queries read one memoised integer table instead
+(quartic_coeff_table).
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import cosh, sinh, sqrt as fsqrt
+from operator import mul
 
 from .series_core import TruncSeries, fixed_point_solve
 from .planar_onecut import OutOfOneCut, Potential, solve_one_cut
@@ -158,44 +162,49 @@ def integral_of_motion(pair, g):
     return a * b * (1 - g * a - g * b) - a - b
 
 
-def quartic_coeff_table(n_max, A, numeric=False):
-    """Taylor coefficients of R_n through g-order A from the three-term
-    recursion, order by order; exact Fractions, or floats rescaled by
-    12^-k per order to avoid overflow (growth is ~12^A)."""
-    cast = float if numeric else Fraction
-    scale = cast(Fraction(1, 12)) if numeric else cast(1)
-    top = n_max + A + 1
-    bulk = [cast(1)] + [cast(0)] * A
+# _QUARTIC_ROWS[n][k] = [g^k] R_n of the pure quartic, a Python int; rows
+# only grow, and callers never write to them
+_QUARTIC_ROWS = []
+
+
+def _quartic_rows(n_max, A):
+    """The integer rows of the pure-quartic R_n, grown in place until rows
+    n <= n_max hold orders 0..A.
+
+    R_n = 1 + g R_n (R_{n+1} + R_n + R_{n-1}) with R_{-1} = 0 has integer
+    coefficients, and [g^k] R_n reads only rows n-1..n+1 below order k,
+    so at order k only rows n <= n_max + A - k can reach the answer."""
+    if n_max < 0 or A < 0:
+        raise DomainError("distance and order must be >= 0")
+    rows = _QUARTIC_ROWS
+    top = n_max + A
+    while len(rows) <= top:
+        rows.append([1])
     for k in range(1, A + 1):
-        # R = 1 + 3 g R^2
-        bulk[k] = 3 * scale * sum(bulk[i] * bulk[k - 1 - i] for i in range(k))
-    c = {n: [cast(1)] + [cast(0)] * A for n in range(top + 1)}
-
-    def at(n, j):
-        if n < 0:
-            return cast(0)
-        return c[n][j] if n <= top else bulk[j]
-
-    for k in range(1, A + 1):
-        for n in range(top + 1):
-            acc = cast(0)
-            for i in range(k):
-                acc += c[n][i] * (at(n + 1, k - 1 - i) + c[n][k - 1 - i]
-                                  + at(n - 1, k - 1 - i))
-            c[n][k] = scale * acc
-    return {n: c[n] for n in range(n_max + 1)}
+        for n in range(top - k + 1):
+            row = rows[n]
+            if len(row) > k:
+                continue
+            down = rows[n - 1] if n else repeat(0)
+            s = [u + r + d for u, r, d in zip(rows[n + 1], row, down)]
+            row.append(sum(map(mul, row, reversed(s))))
+    return rows
 
 
-def fixed_area_ratio(n, A, numeric=None):
+def quartic_coeff_table(n_max, A):
+    """Taylor coefficients of the pure-quartic R_n, n = 0..n_max, through
+    g-order A, as exact Fractions."""
+    rows = _quartic_rows(n_max, A)
+    return {n: [Fraction(c) for c in rows[n][:A + 1]]
+            for n in range(n_max + 1)}
+
+
+def fixed_area_ratio(n, A):
     """B_n(A) = [g^A]R_n / [g^A]R_0 for 4-valent graphs of area A."""
     if A < 1:
         raise DomainError("area must be >= 1")
-    if numeric is None:
-        numeric = A > 60
-    table = quartic_coeff_table(n, A, numeric=numeric)
-    denom = table[0][A]
-    assert denom != 0
-    return table[n][A] / denom
+    rows = _quartic_rows(n, A)
+    return Fraction(rows[n][A], rows[0][A])
 
 
 def bn_infinity(n):
@@ -218,12 +227,6 @@ def scaling_G(r):
         raise DomainError("r must be positive")
     s = fsqrt(1.5) * r
     return 6.0 * fsqrt(1.5) * cosh(s) / sinh(s) ** 3
-
-
-class TwoPointScaling:
-    F = staticmethod(scaling_F)
-    G = staticmethod(scaling_G)
-    a = fsqrt(6.0)
 
 
 def continuum_two_point(grid):

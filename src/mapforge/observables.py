@@ -15,7 +15,7 @@ from math import comb, sqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import Potential, solve_one_cut
-from .geodesic import solve_Rn_series
+from .geodesic import quartic_coeff_table
 from .bijections import (_free_label_shape, _rng, distance_profile,
                          random_plane_tree, sample_quadrangulation_uniform,
                          tree_label_profile)
@@ -34,21 +34,14 @@ def _quartic_R(order):
     return solve_one_cut(Potential.quartic(), order).R
 
 
-@lru_cache(maxsize=None)
-def _quartic_window(n_max, order):
-    return solve_Rn_series({4: Fraction(1)}, max(n_max, 4), order)
-
-
 def edges_at_distance(n, A):
     """Average number of edges from distance n to n+1 in area-A
     quadrangulations seen from their origin; exact rational."""
     if A < 1:
         raise ValueError("area must be >= 1")
-    gs = _quartic_window(n, A)
-    RnA = gs.R[n].coeffs[A] if n <= gs.n_max else gs.bulk_R.coeffs[A]
-    Rn1A = gs.R[n - 1].coeffs[A] if n >= 1 else Fraction(0)
-    e0 = Fraction(4 * A, A + 2)
-    return e0 * (RnA - Rn1A) / gs.R[0].coeffs[A]
+    table = quartic_coeff_table(n, A)
+    Rn1A = table[n - 1][A] if n >= 1 else 0
+    return Fraction(4 * A, A + 2) * (table[n][A] - Rn1A) / table[0][A]
 
 
 def edges_at_distance_asymptotic(n):
@@ -63,10 +56,11 @@ def vertex_layer_series(n, order):
     marked vertex at distance n: log(R_{n-1}/R_{n-2}), log R_0 for n=1."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gs = _quartic_window(n - 1, order)
+    R = [TruncSeries("g", row)
+         for row in quartic_coeff_table(n - 1, order).values()]
     if n == 1:
-        return gs.R[0].log()
-    return (gs.R[n - 1] / gs.R[n - 2]).log()
+        return R[0].log()
+    return (R[n - 1] / R[n - 2]).log()
 
 
 def vertices_at_distance(n, A):
@@ -77,7 +71,7 @@ def vertices_at_distance(n, A):
     if n == 0:
         return Fraction(1)
     Vn = vertex_layer_series(n, A).coeffs[A]
-    R0A = _quartic_window(1, A).R[0].coeffs[A]
+    R0A = quartic_coeff_table(0, A)[0][A]
     # the pointed-quadrangulation count at area A is (A+2) R_{0,A} / (4A)
     return Fraction(4 * A, A + 2) * Vn / R0A
 

@@ -157,7 +157,7 @@ def test_08_fixed_area_ratio_extrapolation_n2_to_4():
     # n = 2, 3, 4; a degree-7 fit in 1/A through A = 90, 120, ..., 300
     # misses by 0.00%, 0.03% and 0.45%
     areas = range(90, 301, 30)
-    table = quartic_coeff_table(4, areas[-1], numeric=True)
+    table = quartic_coeff_table(4, areas[-1])
     for n in (2, 3, 4):
         ratios = {A: table[n][A] / table[0][A] for A in areas}
         assert fixed_area_ratio(n, areas[0]) == pytest.approx(

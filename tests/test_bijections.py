@@ -4,6 +4,7 @@ from itertools import product
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from mapforge.series_core import TruncSeries
@@ -81,6 +82,13 @@ def test_cvs_round_trip():
         for m in enumerate_quadrangulations(A):
             m2 = cvs_inverse(cvs_forward(m))
             assert canonical_form(m2) == canonical_form(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(50, 200), st.integers(0, 2 ** 32 - 1), st.integers(0, 99))
+def test_cvs_round_trip_beyond_enumeration(A, seed, index):
+    t, _ = sample_well_labeled_tree(A, seed, index)
+    assert cvs_forward(cvs_inverse(t)) == t
 
 
 def test_cvs_preserves_distances():

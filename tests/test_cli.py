@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import mapforge
 from mapforge import cli
 from mapforge.cli import main, diffpoly_text
-from mapforge.series_core import rat_parse
+from mapforge.geodesic import integral_of_motion, solve_Rn_series
+from mapforge.series_core import TruncSeries, rat_parse, rat_str
 from mapforge.string_eq import kdv_residue
 
 
@@ -177,6 +182,33 @@ def test_geodesic_continuum_honours_format(capsys):
     assert rows[0] == "r,F,G,deviation"
     assert [r.split(",") for r in rows[1:]] == [
         [p["r"], p["F"], p["G"], p["deviation"]] for p in grid]
+
+
+@pytest.mark.parametrize("g4", ["1/2", "-3", "0"])
+def test_geodesic_g4_matches_window_solver(capsys, g4):
+    argv = ["geodesic", "--g4", g4, "--n", "3", "--order", "8",
+            "--emit", "Rn,Gn,motion"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    gs = solve_Rn_series({4: rat_parse(g4)}, 4, 8)
+    g = TruncSeries.gen("g", 8)
+    series = {"Rn": gs.R[3], "Gn": gs.R[3] - gs.R[2],
+              "motion": integral_of_motion((gs.R[3], gs.R[4]), g)}
+    doc = {"metadata": cli._metadata(cli.build_parser().parse_args(argv)),
+           "results": {name: [rat_str(c) for c in s.coeffs]
+                       for name, s in series.items()}}
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(mapforge.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, mapforge.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_metadata_echoes_parameters(capsys):

@@ -103,14 +103,13 @@ def test_mixed_valence_tail_matches_one_cut():
 
 
 def test_coeff_table_routes_agree():
-    exact = quartic_coeff_table(3, 40, numeric=False)
-    fl = quartic_coeff_table(3, 40, numeric=True)
-    # float mode rescales order k by 12^-k to stay in range
-    for n in range(4):
-        for k in range(41):
-            if exact[n][k]:
-                assert fl[n][k] == pytest.approx(float(exact[n][k] * F(1, 12) ** k),
-                                                 rel=1e-9)
+    # the integer table against the closed form and the window solver
+    table = quartic_coeff_table(6, 20)
+    window = solve_Rn_series({4: F(1)}, 6, 12)
+    for n in range(7):
+        assert all(type(c) is F for c in table[n])
+        assert table[n] == exact_Rn_quartic(n, order=20).coeffs
+        assert table[n][:13] == window.R[n].coeffs
 
 
 def test_fixed_area_ratios():
