@@ -11,12 +11,14 @@ wick_fatgraphs:
   label one less, then erasure of the old edges and the origin.  Tree
   labels are the distances minus one, so the root label is 0.
 
-Trees are nested tuples; a uniform quadrangulation sampler (cycle lemma
-plus label rejection) rounds the module off.
+Trees are nested tuples, walked with explicit stacks.  Two samplers round
+the module off: label rejection on nested trees, and the uniform pointed
+sampler, which runs on flat lists from the cycle-lemma step list to the
+finished map.
 """
 
 import random
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from .wick_fatgraphs import CombinatorialMap, faces_and_genus
 
@@ -354,24 +356,28 @@ def canonical_form(m):
 # well-labeled trees: nested (label, (children...))
 
 
+def _preorder(t):
+    """(parent, node) pairs of a nested (label, kids) tree in preorder; the
+    root's parent is None."""
+    stack = [(None, t)]
+    while stack:
+        parent, node = stack.pop()
+        yield parent, node
+        stack.extend((node, c) for c in reversed(node[1]))
+
+
 def check_well_labeled(t, root_label=0):
     if t[0] != root_label:
         raise NotWellLabeled("root label must be %d" % root_label)
-
-    def rec(node):
-        lab, kids = node
+    for parent, (lab, _) in _preorder(t):
+        if parent is not None and abs(lab - parent[0]) > 1:
+            raise NotWellLabeled("adjacent labels must differ by <= 1")
         if lab < 0:
             raise NotWellLabeled("labels must be non-negative")
-        for c in kids:
-            if abs(c[0] - lab) > 1:
-                raise NotWellLabeled("adjacent labels must differ by <= 1")
-            rec(c)
-
-    rec(t)
 
 
 def tree_edges(t):
-    return sum(1 + tree_edges(c) for c in t[1])
+    return sum(1 for _ in _preorder(t)) - 1
 
 
 def enumerate_well_labeled(n_edges, root_label=0):
@@ -445,7 +451,7 @@ def check_quadrangulation(m):
 
 def cvs_forward(m):
     """Rooted quadrangulation -> well-labeled tree (root label 0)."""
-    verts, vertex_of, dist = check_quadrangulation(m)
+    _, vertex_of, dist = check_quadrangulation(m)
     # one new edge per face, joining the two corners preceded around the
     # face by a corner with a label one less
     anchor = {}
@@ -460,116 +466,145 @@ def cvs_forward(m):
         a, b = marked
         anchor[a] = b
         anchor[b] = a
-    root_vertex = vertex_of[m.alpha[m.root]]
+    sigma = m.sigma
     visited = set()
 
-    def subtree(b):
-        # b anchors the tree edge at the child vertex; the children follow
-        # in rotation order
+    def rotation(b):
+        # the darts after b around its vertex, b excluded
+        out = []
+        d = sigma[b]
+        while d != b:
+            out.append(d)
+            d = sigma[d]
+        return out
+
+    def enter(b, darts):
+        # b anchors the tree edge at the child vertex; the children hang off
+        # the anchored darts among darts, in rotation order
         v = vertex_of[b]
         if v in visited:
             raise NotQuadrangulation("new edges do not form a tree")
         visited.add(v)
-        kids = []
-        d = m.sigma[b]
-        while d != b:
-            if d in anchor:
-                kids.append(subtree(anchor[d]))
-            d = m.sigma[d]
-        return (dist[v] - 1, tuple(kids))
+        return dist[v] - 1, [], iter(darts)
 
-    visited.add(root_vertex)
-    kids = []
-    d = m.sigma[m.alpha[m.root]]
-    for _ in range(len(verts[root_vertex])):
-        if d in anchor:
-            kids.append(subtree(anchor[d]))
-        d = m.sigma[d]
-    t = (dist[root_vertex] - 1, tuple(kids))
+    # the root vertex's children follow the root's dart, all the way round
+    a = m.alpha[m.root]
+    stack = [enter(a, rotation(a) + [a])]
+    while True:
+        lab, kids, darts = stack[-1]
+        for d in darts:
+            if d in anchor:
+                b = anchor[d]
+                stack.append(enter(b, rotation(b)))
+                break
+        else:
+            stack.pop()
+            t = (lab, tuple(kids))
+            if not stack:
+                break
+            stack[-1][1].append(t)
     check_well_labeled(t)
     if tree_edges(t) != len(m.faces()):
         raise NotQuadrangulation("tree edge count differs from face count")
     return t
 
 
-def _contour_corners(t):
-    """Corners in contour order as (vertex id, tree label); ids follow the
-    preorder walk with the root as 0, and the root corner comes first."""
-    corners = []
-    next_id = [1]
+def _tree_contour(t):
+    """Corners of a nested labelled tree in contour order, as (vid, lab):
+    vid[i] is the vertex that contour step i leaves and lab[i] its label.
+    Ids follow preorder with the root as 0; a lone root has one corner."""
+    vid, lab = [], []
+    stack = [(0, t[0], iter(t[1]))]
+    next_id = 1
+    while stack:
+        v, l, kids = stack[-1]
+        c = next(kids, None)
+        if c is not None:
+            # step down to a new child
+            vid.append(v)
+            lab.append(l)
+            stack.append((next_id, c[0], iter(c[1])))
+            next_id += 1
+        else:
+            stack.pop()
+            if stack:
+                # step back up to the parent
+                vid.append(v)
+                lab.append(l)
+    return (vid, lab) if vid else ([0], [t[0]])
 
-    def walk(node, nid, is_root):
-        lab, kids = node
-        for c in kids:
-            corners.append((nid, lab))
-            cid = next_id[0]
-            next_id[0] += 1
-            walk(c, cid, False)
-        if not is_root:
-            corners.append((nid, lab))
 
-    walk(t, 0, True)
-    if not t[1]:
-        corners.append((0, t[0]))
-    return corners
-
-
-def _quad_from_corner_labels(corners, lab, root):
+def _quad_from_contour(vid, lab, root):
     """Chord construction shared by cvs_inverse and the pointed sampler.
 
-    Every corner gets a chord to the next corner around the contour whose
-    label is one less; minimum-label corners (label 1 after shifting) chord
-    to an added origin vertex.  The chords alone form the quadrangulation.
+    Corner i sits at vertex vid[i] with label lab[i] >= 1.  Every corner
+    gets a chord to the next corner around the contour whose label is one
+    less; label-1 corners chord to an added origin vertex.  The chords alone
+    form the quadrangulation: dart 2i leaves corner i and its partner 2i+1
+    lands at the other end.  Returns the map and a dart at the origin.
     """
-    n = len(corners)
+    n = len(lab)
+    # succ[i] is the nearest later corner with label lab[i] - 1; once the
+    # backward pass ends, first[l] is the first corner with label l, the
+    # successor of every corner with none later
+    first = [None] * (max(lab) + 1)
     succ = [None] * n
-    last = {}
-    for _ in range(2):
-        for i in range(n - 1, -1, -1):
-            succ[i] = last.get(lab[i] - 1, succ[i])
-            last[lab[i]] = i
-    # darts: 2i leaves corner i, its partner 2i+1 lands on the successor
-    alpha = []
-    for i in range(n):
-        alpha.extend([2 * i + 1, 2 * i])
-    incoming = {i: [] for i in range(n)}
-    to_origin = []
-    for i in range(n):
-        if lab[i] == 1:
-            to_origin.append(i)
-        elif succ[i] is None:
-            raise NotWellLabeled("corner with no successor")
-        else:
-            incoming[succ[i]].append(i)
-    # chords into a corner nest without crossing: rotating across the
-    # corner we meet the nearest source first and the outgoing dart last
-    for j in range(n):
-        incoming[j].sort(key=lambda i: (j - i) % n)
-    by_vertex = {}
-    for i, (nid, _) in enumerate(corners):
-        by_vertex.setdefault(nid, []).append(i)
+    for i in range(n - 1, -1, -1):
+        l = lab[i]
+        succ[i] = first[l - 1]
+        first[l] = i
+    # chords into a corner nest without crossing: rotating across corner j
+    # we meet the chords from the nearest sources before j, then those that
+    # wrap around, each nearest first, and the outgoing dart 2j last.  Each
+    # chain is built by prepending to head[j], so the sources go in
+    # ascending order, the wrapping ones first.
     sigma = [0] * (2 * n)
-    for idxs in by_vertex.values():
-        cyc = []
-        for i in idxs:
-            cyc.extend(2 * src + 1 for src in incoming[i])
-            cyc.append(2 * i)
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            sigma[a] = b
-    # the origin sees the minimum-label corners in reversed contour order
-    cyc = [2 * i + 1 for i in reversed(to_origin)]
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        sigma[a] = b
-    return CombinatorialMap(sigma, alpha, root=root), cyc[0]
+    head = list(range(0, 2 * n, 2))
+    ones = []
+    for i in range(n):
+        if succ[i] is None:
+            l = lab[i]
+            if l == 1:
+                ones.append(i)
+                continue
+            j = first[l - 1]
+            if j is None:
+                raise NotWellLabeled("corner with no successor")
+            sigma[2 * i + 1] = head[j]
+            head[j] = 2 * i + 1
+    for i, j in enumerate(succ):
+        if j is not None:
+            sigma[2 * i + 1] = head[j]
+            head[j] = 2 * i + 1
+    # a vertex links the chains of its corners in contour order, cyclically
+    last = [-1] * (max(vid) + 1)
+    start = last[:]
+    for i, v in enumerate(vid):
+        p = last[v]
+        if p < 0:
+            start[v] = head[i]
+        else:
+            sigma[2 * p] = head[i]
+        last[v] = i
+    for p, h in zip(last, start):
+        sigma[2 * p] = h
+    # the origin sees the label-1 corners in reversed contour order
+    d = 2 * ones[-1] + 1
+    for i in ones:
+        sigma[2 * i + 1] = d
+        d = 2 * i + 1
+    alpha = [0] * (2 * n)
+    alpha[0::2] = range(1, 2 * n, 2)
+    alpha[1::2] = range(0, 2 * n, 2)
+    return CombinatorialMap(sigma, alpha, root=root), d
 
 
 def cvs_inverse(t):
     """Well-labeled tree (root label 0) -> rooted quadrangulation, rooted
     on the origin side of the root corner's chord."""
     check_well_labeled(t)
-    corners = _contour_corners(t)
-    lab = [c[1] + 1 for c in corners]
-    m, _ = _quad_from_corner_labels(corners, lab, root=1)
+    vid, lab = _tree_contour(t)
+    m, _ = _quad_from_contour(vid, [l + 1 for l in lab], root=1)
     check_quadrangulation(m)
     return m
 
@@ -583,10 +618,10 @@ def pointed_quadrangulation(t, eps):
     root corner's chord, oriented by eps.  With the tree, the labels and
     the sign all uniform, forgetting the marked vertex leaves the uniform
     distribution on rooted quadrangulations."""
-    corners = _contour_corners(t)
-    shift = 1 - min(c[1] for c in corners)
-    lab = [c[1] + shift for c in corners]
-    return _quad_from_corner_labels(corners, lab, root=0 if eps > 0 else 1)
+    vid, lab = _tree_contour(t)
+    shift = 1 - min(lab)
+    return _quad_from_contour(vid, [l + shift for l in lab],
+                              root=0 if eps > 0 else 1)
 
 
 def enumerate_quadrangulations(n_faces):
@@ -612,50 +647,49 @@ def _rng(seed, index):
     return random.Random("mapforge:%d:%d" % (seed, index))
 
 
-def random_plane_tree(A, rng):
-    """Uniform plane tree with A edges via the cycle lemma."""
+def _tree_steps(A, rng):
+    """Contour of a uniform plane tree with A edges by the cycle lemma, as
+    2A steps: +1 down to a new child, -1 back up to the parent."""
     steps = [1] * A + [-1] * (A + 1)
     rng.shuffle(steps)
-    total = 0
-    best = (1, 0)
-    for i, s in enumerate(steps):
-        total += s
-        if total < best[0]:
-            best = (total, i + 1)
-    start = best[1] % len(steps)
-    path = steps[start:] + steps[:start]
-    # the rotated path stays >= 0 until its final down step; drop it
-    path = path[:-1]
-    pos = [0]
+    # rotate to start after the first lowest point; the rotated path stays
+    # >= 0 until its final down step, which is dropped
+    heights = list(accumulate(steps))
+    start = (heights.index(min(heights)) + 1) % len(steps)
+    return (steps[start:] + steps[:start])[:-1]
 
-    def parse():
-        kids = []
-        while pos[0] < len(path) and path[pos[0]] == 1:
-            pos[0] += 1
-            kids.append(parse())
-            pos[0] += 1
-        return tuple(kids)
 
-    return parse()
+def random_plane_tree(A, rng):
+    """Uniform plane tree with A edges via the cycle lemma."""
+    stack = [[]]
+    for s in _tree_steps(A, rng):
+        if s > 0:
+            stack.append([])
+        else:
+            kids = tuple(stack.pop())
+            stack[-1].append(kids)
+    return tuple(stack[0])
 
 
 def _label_shape(shape, rng):
-    """Root label 0 and iid uniform {-1,0,+1} edge increments; None as soon
-    as a label would go negative."""
-
-    def rec(sh, lab):
-        kids = []
-        for c in sh:
-            nl = lab + rng.choice((-1, 0, 1))
+    """Root label 0 and iid uniform {-1,0,+1} edge increments, drawn in
+    preorder; None as soon as a label would go negative."""
+    choice = rng.choice
+    stack = [(0, [], iter(shape))]
+    while True:
+        lab, kids, rest = stack[-1]
+        c = next(rest, None)
+        if c is not None:
+            nl = lab + choice((-1, 0, 1))
             if nl < 0:
                 return None
-            sub = rec(c, nl)
-            if sub is None:
-                return None
-            kids.append(sub)
-        return (lab, tuple(kids))
-
-    return rec(shape, 0)
+            stack.append((nl, [], iter(c)))
+        else:
+            stack.pop()
+            node = (lab, tuple(kids))
+            if not stack:
+                return node
+            stack[-1][1].append(node)
 
 
 def sample_well_labeled_tree(A, seed, index=0):
@@ -677,14 +711,26 @@ def sample_quadrangulation(A, seed, index=0):
     return cvs_inverse(t)
 
 
-def _free_label_shape(shape, rng):
-    """Root label 0 and iid uniform {-1,0,+1} increments, unconstrained."""
-
-    def rec(sh, lab):
-        return (lab, tuple(rec(c, lab + rng.choice((-1, 0, 1)))
-                           for c in sh))
-
-    return rec(shape, 0)
+def _free_contour(A, rng):
+    """A uniform plane tree with A edges and free labels, flat: returns
+    (vid, vlab) with vid as in _tree_contour and vlab[v] the label of
+    vertex v.  The root has label 0 and each edge an iid uniform increment
+    in {-1,0,+1}, drawn in preorder, as _label_shape draws them."""
+    path = _tree_steps(A, rng)
+    choice = rng.choice
+    vid = [0] * len(path)
+    vlab = [0]
+    up = []  # the ancestors of vertex v
+    v = 0
+    for i, s in enumerate(path):
+        vid[i] = v
+        if s > 0:
+            up.append(v)
+            vlab.append(vlab[v] + choice((-1, 0, 1)))
+            v = len(vlab) - 1
+        else:
+            v = up.pop()
+    return (vid, vlab) if path else ([0], vlab)
 
 
 def sample_quadrangulation_uniform(A, seed, index=0):
@@ -695,23 +741,47 @@ def sample_quadrangulation_uniform(A, seed, index=0):
     quadrangulation corresponds to exactly 2(A+2) such triples, the result
     is exactly uniform."""
     rng = _rng(seed, index)
-    shape = random_plane_tree(A, rng)
-    t = _free_label_shape(shape, rng)
+    vid, vlab = _free_contour(A, rng)
     eps = rng.choice((1, -1))
-    m, _ = pointed_quadrangulation(t, eps)
+    shift = 1 - min(vlab)
+    vlab = [l + shift for l in vlab]
+    m, _ = _quad_from_contour(vid, [vlab[v] for v in vid],
+                              root=0 if eps > 0 else 1)
     return m
 
 
 def distance_profile(m):
     """(counts of vertices per distance from the root start, degree of the
     root start vertex)."""
-    verts, vertex_of = _vertex_data(m)
-    origin = vertex_of[m.root]
-    dist = _bfs_distances(m, verts, vertex_of, origin)
+    sigma, alpha = m.sigma, m.alpha
+    # breadth-first over the vertices, each a sigma cycle: dist[d] is the
+    # distance of d's vertex (-1 until reached), queue one dart per vertex
+    dist = [-1] * len(sigma)
+    queue = [m.root]
+    d = m.root
+    deg = 0
+    while dist[d] < 0:
+        dist[d] = 0
+        deg += 1
+        d = sigma[d]
+    for start in queue:
+        k = dist[start] + 1
+        d = start
+        while True:
+            e = alpha[d]
+            if dist[e] < 0:
+                queue.append(e)
+                while dist[e] < 0:
+                    dist[e] = k
+                    e = sigma[e]
+            d = sigma[d]
+            if d == start:
+                break
     counts = {}
-    for x in dist:
-        counts[x] = counts.get(x, 0) + 1
-    return counts, len(verts[origin])
+    for d in queue:
+        k = dist[d]
+        counts[k] = counts.get(k, 0) + 1
+    return counts, deg
 
 
 def acceptance_stats(A, seed, proposals):
@@ -727,12 +797,6 @@ def acceptance_stats(A, seed, proposals):
 def tree_label_profile(t):
     """Vertex counts per label; label n-1 means distance n in the map."""
     out = {}
-
-    def rec(node):
+    for _, node in _preorder(t):
         out[node[0]] = out.get(node[0], 0) + 1
-        for c in node[1]:
-            rec(c)
-
-    rec(t)
     return out
-

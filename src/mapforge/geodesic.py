@@ -111,6 +111,11 @@ def solve_Rn_series(weights, n_max, order):
 def char_root_series(order):
     """x = O(g) solving x + 1/x + 4 = 1/(gR), i.e. x = gR(1 + 4x + x^2)."""
     R = solve_one_cut(Potential.quartic(), order + 1).R.truncate(order)
+    return _char_root(R, order)
+
+
+def _char_root(R, order):
+    """char_root_series(order), given the quartic R through that order."""
     g = TruncSeries.gen("g", order)
 
     def eq(x):
@@ -144,7 +149,7 @@ def exact_Rn_quartic(n, g=None, order=None):
     """
     if order is not None:
         R = solve_one_cut(Potential.quartic(), order + 1).R.truncate(order)
-        x = char_root_series(order)
+        x = _char_root(R, order)
         one = TruncSeries.const("g", 1, order)
         num = (one - x ** (n + 1)) * (one - x ** (n + 4))
         den = (one - x ** (n + 2)) * (one - x ** (n + 3))

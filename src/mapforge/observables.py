@@ -9,6 +9,7 @@ rooted quadrangulations with the root start as origin reweighted by
 1/deg(origin).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, sqrt
@@ -16,9 +17,8 @@ from math import comb, sqrt
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import Potential, solve_one_cut
 from .geodesic import quartic_coeff_table
-from .bijections import (_free_label_shape, _rng, distance_profile,
-                         random_plane_tree, sample_quadrangulation_uniform,
-                         tree_label_profile)
+from .bijections import (_free_contour, _rng, distance_profile,
+                         sample_quadrangulation_uniform)
 
 
 class IntegrationObstruction(ValueError):
@@ -418,11 +418,9 @@ def mc_profile(A, n_max, samples, seed, method="reweighted"):
             counts, deg = distance_profile(m)
             w = 1.0 / deg
         else:
-            rng = _rng(seed, i)
-            t = _free_label_shape(random_plane_tree(A, rng), rng)
-            labs = tree_label_profile(t)
+            _, labs = _free_contour(A, _rng(seed, i))
             low = min(labs)
-            counts = {l - low + 1: c for l, c in labs.items()}
+            counts = Counter(l - low + 1 for l in labs)
             counts[0] = 1
             w = 1.0
         data.append([counts.get(n, 0) for n in range(n_max + 1)])

@@ -10,6 +10,7 @@ isomorphism machinery appears anywhere.
 
 from fractions import Fraction
 from math import factorial
+from operator import eq
 
 from .series_core import SymbolPoly, TruncSeries
 
@@ -36,11 +37,22 @@ class CombinatorialMap:
         n = len(self.sigma)
         if len(self.alpha) != n:
             raise MalformedMap("sigma and alpha act on different dart sets")
-        if sorted(self.sigma) != list(range(n)) or sorted(self.alpha) != list(range(n)):
-            raise MalformedMap("not permutations")
-        for d in range(n):
-            if self.alpha[d] == d or self.alpha[self.alpha[d]] != d:
-                raise MalformedMap("alpha is not a fixed-point-free involution")
+        alpha = self.alpha
+        darts = range(n)
+        # alpha(alpha(d)) == d for every dart makes alpha a permutation of
+        # the darts (no negative or too large value passes), and sigma is
+        # then one exactly when it takes alpha's values.  The set of all
+        # darts, costly to build, only tells the two failures apart.
+        try:
+            involution = [alpha[a] for a in alpha] == list(darts)
+        except (IndexError, TypeError):
+            involution = False
+        if not involution or set(self.sigma) != set(alpha):
+            every = set(darts)
+            if set(self.sigma) != every or set(alpha) != every:
+                raise MalformedMap("not permutations")
+        if not involution or any(map(eq, alpha, darts)):
+            raise MalformedMap("alpha is not a fixed-point-free involution")
 
     @property
     def n_darts(self):

@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 from fractions import Fraction as F
 from itertools import product
@@ -10,6 +11,7 @@ from scipy.stats import chi2 as chi2_dist
 from mapforge.series_core import TruncSeries
 from mapforge.planar_onecut import Potential, solve_one_cut
 from mapforge.geodesic import solve_Rn_series
+from mapforge.observables import mc_profile
 from mapforge.wick_fatgraphs import CombinatorialMap
 from mapforge.bijections import (
     NotBlossom, NotQuadrangulation, NotWellLabeled, TooLarge,
@@ -19,8 +21,11 @@ from mapforge.bijections import (
     enumerate_quadrangulations, enumerate_well_labeled,
     pointed_quadrangulation, sample_quadrangulation,
     sample_quadrangulation_uniform, sample_well_labeled_tree,
-    tree_label_profile, _rng, random_plane_tree, _free_label_shape,
+    tree_label_profile, _rng, random_plane_tree,
 )
+
+# the default; the tests at A = 10**5 must pass without raising it
+RECURSION_LIMIT = 1000
 
 
 def _plane_shapes(A):
@@ -204,3 +209,184 @@ def test_validation_errors():
     # a single-edge map is no quadrangulation
     with pytest.raises(NotQuadrangulation):
         cvs_forward(CombinatorialMap([0, 1], [1, 0], root=0))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the nested-tuple route the flat-array sampler replaced, kept here
+# as an independent check.  The tree is parsed recursively from the same
+# shuffled step list, labelled recursively in preorder, and the chords are
+# built per corner with sorted incoming lists; distance_profile is a BFS
+# over m.vertices() through a dart -> vertex dict.
+
+
+def _oracle_plane_tree(A, rng):
+    steps = [1] * A + [-1] * (A + 1)
+    rng.shuffle(steps)
+    total = 0
+    best = (1, 0)
+    for i, s in enumerate(steps):
+        total += s
+        if total < best[0]:
+            best = (total, i + 1)
+    start = best[1] % len(steps)
+    path = (steps[start:] + steps[:start])[:-1]
+    pos = [0]
+
+    def parse():
+        kids = []
+        while pos[0] < len(path) and path[pos[0]] == 1:
+            pos[0] += 1
+            kids.append(parse())
+            pos[0] += 1
+        return tuple(kids)
+
+    return parse()
+
+
+def _oracle_free_labels(shape, rng):
+    def rec(sh, lab):
+        return (lab, tuple(rec(c, lab + rng.choice((-1, 0, 1))) for c in sh))
+
+    return rec(shape, 0)
+
+
+def _oracle_pointed_quadrangulation(t, eps):
+    corners = []
+    next_id = [1]
+
+    def walk(node, nid, is_root):
+        lab, kids = node
+        for c in kids:
+            corners.append((nid, lab))
+            cid = next_id[0]
+            next_id[0] += 1
+            walk(c, cid, False)
+        if not is_root:
+            corners.append((nid, lab))
+
+    walk(t, 0, True)
+    if not t[1]:
+        corners.append((0, t[0]))
+    shift = 1 - min(c[1] for c in corners)
+    lab = [c[1] + shift for c in corners]
+    n = len(corners)
+    succ = [None] * n
+    last = {}
+    for _ in range(2):
+        for i in range(n - 1, -1, -1):
+            succ[i] = last.get(lab[i] - 1, succ[i])
+            last[lab[i]] = i
+    alpha = []
+    for i in range(n):
+        alpha.extend([2 * i + 1, 2 * i])
+    incoming = {i: [] for i in range(n)}
+    to_origin = []
+    for i in range(n):
+        if lab[i] == 1:
+            to_origin.append(i)
+        else:
+            incoming[succ[i]].append(i)
+    for j in range(n):
+        incoming[j].sort(key=lambda i: (j - i) % n)
+    by_vertex = {}
+    for i, (nid, _) in enumerate(corners):
+        by_vertex.setdefault(nid, []).append(i)
+    sigma = [0] * (2 * n)
+    for idxs in by_vertex.values():
+        cyc = []
+        for i in idxs:
+            cyc.extend(2 * src + 1 for src in incoming[i])
+            cyc.append(2 * i)
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            sigma[a] = b
+    cyc = [2 * i + 1 for i in reversed(to_origin)]
+    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+        sigma[a] = b
+    return sigma, alpha, 0 if eps > 0 else 1
+
+
+def _oracle_distance_profile(m):
+    verts = m.vertices()
+    vertex_of = {d: i for i, v in enumerate(verts) for d in v}
+    origin = vertex_of[m.root]
+    dist = [None] * len(verts)
+    dist[origin] = 0
+    queue = [origin]
+    for v in queue:
+        for d in verts[v]:
+            w = vertex_of[m.alpha[d]]
+            if dist[w] is None:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dict(Counter(dist)), len(verts[origin])
+
+
+def _oracle_pointed_rows(A, n_max, samples, seed):
+    data = []
+    for i in range(samples):
+        rng = _rng(seed, i)
+        labs = tree_label_profile(
+            _oracle_free_labels(_oracle_plane_tree(A, rng), rng))
+        low = min(labs)
+        counts = {l - low + 1: c for l, c in labs.items()}
+        counts[0] = 1
+        data.append([counts.get(n, 0) for n in range(n_max + 1)])
+    out = []
+    for n in range(n_max + 1):
+        est = sum(row[n] for row in data) / samples
+        var = sum((row[n] - est) ** 2 for row in data)
+        out.append((est, sqrt(var) / samples))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 500), st.integers(0, 2 ** 32 - 1), st.integers(0, 999))
+def test_uniform_sampler_matches_nested_oracle(A, seed, index):
+    rng = _rng(seed, index)
+    t = _oracle_free_labels(_oracle_plane_tree(A, rng), rng)
+    eps = rng.choice((1, -1))
+    sigma, alpha, root = _oracle_pointed_quadrangulation(t, eps)
+    m = sample_quadrangulation_uniform(A, seed, index)
+    assert (m.sigma, m.alpha, m.root) == (tuple(sigma), tuple(alpha), root)
+    assert distance_profile(m) == _oracle_distance_profile(m)
+    # the nested route through the library's own tree helpers agrees too
+    rng = _rng(seed, index)
+    m2, _ = pointed_quadrangulation(
+        _oracle_free_labels(random_plane_tree(A, rng), rng), eps)
+    assert (m2.sigma, m2.alpha, m2.root) == (m.sigma, m.alpha, m.root)
+
+
+@pytest.mark.parametrize("A, seed", [(1, 0), (7, 3), (60, 11), (400, 5)])
+def test_pointed_mc_profile_matches_tree_label_route(A, seed):
+    assert mc_profile(A, 6, 30, seed, "pointed") \
+        == _oracle_pointed_rows(A, 6, 30, seed)
+
+
+def _shape_and_labels(t):
+    # (label, number of children) in preorder determines a nested tree
+    out = []
+    stack = [t]
+    while stack:
+        lab, kids = stack.pop()
+        out.append((lab, len(kids)))
+        stack.extend(reversed(kids))
+    return out
+
+
+def test_uniform_sampler_at_area_1e5():
+    assert sys.getrecursionlimit() == RECURSION_LIMIT
+    A = 10 ** 5
+    counts, deg = distance_profile(sample_quadrangulation_uniform(A, 7, 0))
+    assert sum(counts.values()) == A + 2 and counts[0] == 1 and deg >= 1
+
+
+def test_cvs_round_trip_of_a_1e5_edge_path():
+    assert sys.getrecursionlimit() == RECURSION_LIMIT
+    A = 10 ** 5
+    t = (A, ())
+    for lab in range(A - 1, -1, -1):
+        t = (lab, (t,))
+    back = cvs_forward(cvs_inverse(t))
+    # nested tuples this deep cannot be compared with ==, which recurses
+    assert _shape_and_labels(back) == _shape_and_labels(t)
+    assert tree_label_profile(back) == {lab: 1 for lab in range(A + 1)}

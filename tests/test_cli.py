@@ -170,6 +170,19 @@ def test_resource_errors_exit_3_without_traceback(monkeypatch, capsys, error):
     assert "Traceback" not in captured.err
 
 
+def test_sample_at_area_1e5(capsys):
+    # the sampler holds no recursion, so the default limit suffices
+    assert sys.getrecursionlimit() == 1000
+    code, out = run(capsys, "sample", "--faces", "100000", "--samples", "1",
+                    "--seed", "7")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines()
+            if l and not l.startswith("#")]
+    assert rows[0] == ["sample", "distance", "count"]
+    assert rows[1] == ["0", "0", "1"]
+    assert sum(int(r[2]) for r in rows[1:]) == 100000 + 2
+
+
 def test_geodesic_continuum_honours_format(capsys):
     doc = run_json(capsys, "geodesic", "--continuum")
     assert doc["metadata"]["parameters"]["format"] == "json"

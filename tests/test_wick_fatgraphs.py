@@ -4,7 +4,7 @@ import pytest
 
 from mapforge.series_core import SymbolPoly
 from mapforge.wick_fatgraphs import (
-    CombinatorialMap, TooLarge, catalan, connected_free_energy_F,
+    CombinatorialMap, MalformedMap, TooLarge, catalan, connected_free_energy_F,
     enumerate_pairings, faces_and_genus, gaussian_trace_average, genus_split,
     partition_series_Z, star_sigma,
 )
@@ -16,6 +16,21 @@ def double_factorial(n):
         out *= n
         n -= 2
     return out
+
+
+@pytest.mark.parametrize("sigma, alpha, message", [
+    ([0, 1], [1, 0, 2], "sigma and alpha act on different dart sets"),
+    ([0, 0], [1, 0], "not permutations"),
+    ([0, 2], [1, 0], "not permutations"),
+    ([1, 0], [1, 1], "not permutations"),
+    ([1, 0], [-1, 0], "not permutations"),
+    ([0, 1, 2, 3], [1, 0, 2, 3], "alpha is not a fixed-point-free involution"),
+    ([0, 1, 2, 3], [1, 2, 3, 0], "alpha is not a fixed-point-free involution"),
+])
+def test_malformed_maps(sigma, alpha, message):
+    with pytest.raises(MalformedMap) as err:
+        CombinatorialMap(sigma, alpha)
+    assert str(err.value) == message
 
 
 def test_pairing_counts():
