@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import __version__ as VERSION
 from .series_core import TruncSeries, rat_str, rat_parse
-from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, solve_one_cut,
+from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, quartic_solution,
                             planar_free_energy, gamma_two_sameface)
 from .wick_fatgraphs import TooLarge, connected_free_energy_F, genus_split
 from .ortho_genus import (IncreaseM, NoPhysicalRoot, DegenerateMeasure,
@@ -175,8 +175,10 @@ def _cmd_oracle(args):
 
 def _cmd_planar(args):
     emits = _parse_emit(args.emit, {"f", "R", "S", "Gamma2"})
+    if args.order < 0:
+        raise BadParameter("order must be >= 0")
     V = Potential.quartic(args.g4)
-    sol = solve_one_cut(V, args.order)
+    sol = quartic_solution(args.g4, args.order)
     series = {}
     for name in emits:
         if name == "f":
@@ -194,6 +196,8 @@ def _cmd_planar(args):
 
 
 def _cmd_genus(args):
+    if args.order < 0:
+        raise BadParameter("order must be >= 0")
     F = exact_free_energy_FN({4: args.g4}, args.order)
     table = genus_extract(F)
     results = {}
@@ -208,6 +212,8 @@ def _cmd_genus(args):
 
 def _cmd_stringeq(args):
     emits = _parse_emit(args.emit, {"residues", "commutator"})
+    if args.m < 0:
+        raise BadParameter("m must be >= 0")
     results = {}
     rows = []
     if "residues" in emits:

@@ -10,12 +10,14 @@ Pure-quartic queries read one memoised integer table instead
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import repeat
 from math import cosh, sinh, sqrt as fsqrt
 from operator import mul
 
 from .series_core import TruncSeries, fixed_point_solve
-from .planar_onecut import OutOfOneCut, Potential, solve_one_cut
+from .planar_onecut import (OutOfOneCut, Potential, solve_one_cut,
+                            unit_quartic_solution)
 
 
 class DomainError(ValueError):
@@ -108,14 +110,12 @@ def solve_Rn_series(weights, n_max, order):
     return GeodesicSeries(keepR, keepS, order, n_max, b, sol.R, sol.S)
 
 
+@lru_cache(maxsize=None)
 def char_root_series(order):
-    """x = O(g) solving x + 1/x + 4 = 1/(gR), i.e. x = gR(1 + 4x + x^2)."""
-    R = solve_one_cut(Potential.quartic(), order + 1).R.truncate(order)
-    return _char_root(R, order)
+    """x = O(g) solving x + 1/x + 4 = 1/(gR), i.e. x = gR(1 + 4x + x^2).
 
-
-def _char_root(R, order):
-    """char_root_series(order), given the quartic R through that order."""
+    Solved once per order and shared: callers must not mutate it."""
+    R = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
 
     def eq(x):
@@ -148,8 +148,8 @@ def exact_Rn_quartic(n, g=None, order=None):
     Series mode when order is given, numeric mode when g is a float.
     """
     if order is not None:
-        R = solve_one_cut(Potential.quartic(), order + 1).R.truncate(order)
-        x = _char_root(R, order)
+        R = unit_quartic_solution(order).R
+        x = char_root_series(order)
         one = TruncSeries.const("g", 1, order)
         num = (one - x ** (n + 1)) * (one - x ** (n + 4))
         den = (one - x ** (n + 2)) * (one - x ** (n + 3))

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, sqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
-from .planar_onecut import Potential, solve_one_cut
+from .planar_onecut import unit_quartic_solution
 from .geodesic import quartic_coeff_table
 from .bijections import (_free_contour, _rng, distance_profile,
                          sample_quadrangulation_uniform)
@@ -27,11 +27,6 @@ class IntegrationObstruction(ValueError):
 
 class BranchError(ValueError):
     pass
-
-
-@lru_cache(maxsize=None)
-def _quartic_R(order):
-    return solve_one_cut(Potential.quartic(), order).R
 
 
 def edges_at_distance(n, A):
@@ -191,7 +186,7 @@ def weighted_Zn_solve(k, order):
     one = SymbolPoly.const(syms, 1)
     rho = [SymbolPoly.sym(syms, "rho%d" % p) for p in range(k + 1)]
     sig = [SymbolPoly.sym(syms, "sigma%d" % p) for p in range(k + 1)]
-    R = _quartic_R(order)
+    R = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
     fRR = (R * R * (1 - 2 * g * R) - 2 * R).coeffs
     z = {n: [zero] * (order + 1) for n in range(-1, k + 2)}
@@ -260,7 +255,7 @@ def quartic_R0_rho_sigma(order):
     rho = SymbolPoly.sym(syms, "rho")
     sig = SymbolPoly.sym(syms, "sigma")
     zero = SymbolPoly.const(syms, 0)
-    Rb = _quartic_R(order)
+    Rb = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
     GR = (g * Rb * (1 - g * Rb * Rb)).map_coeffs(
         lambda c: SymbolPoly.const(syms, c))

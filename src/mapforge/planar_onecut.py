@@ -12,6 +12,7 @@ equation is trivial.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, pi, sqrt as fsqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
@@ -113,6 +114,35 @@ def solve_one_cut(V, order):
     return sol
 
 
+@lru_cache(maxsize=None)
+def unit_quartic_solution(order):
+    """solve_one_cut(Potential.quartic(), order), solved once per order.
+
+    Every pure-quartic caller reads this one solution; the series are
+    shared, so callers must not mutate them."""
+    return solve_one_cut(Potential.quartic(), order)
+
+
+def _scale_coupling(series, g4):
+    """Coefficient k times g4^k: a pure-quartic series depends on the
+    coupling only through g4 * g."""
+    return TruncSeries(series.var,
+                       [g4 ** k * c for k, c in enumerate(series.coeffs)])
+
+
+def quartic_solution(g4, order):
+    """solve_one_cut(Potential.quartic(g4), order), read off the unit
+    solution by rescaling, with solve_one_cut's residue checks."""
+    V = Potential.quartic(g4)
+    unit = unit_quartic_solution(order)
+    g4 = Fraction(g4)
+    sol = OneCutSolution(_scale_coupling(unit.R, g4),
+                         _scale_coupling(unit.S, g4))
+    assert residue_coeff(V, sol, 0).is_zero()
+    assert residue_coeff(V, sol, -1) == 1
+    return sol
+
+
 def residue_coeff(V, sol, m):
     g = TruncSeries.gen("g", sol.R.order)
     return _vprime_m(V, m, sol.S, sol.R, g)
@@ -163,9 +193,8 @@ def planar_free_energy(V, order):
         raise EvenOnly("planar free energy implemented for even potentials")
     if set(V.couplings) <= {4}:
         # f depends on the coupling only through g4 * g
-        g4 = V.couplings.get(4, 0)
-        f = quartic_closed_form_f(order)
-        return TruncSeries("g", [g4 ** k * c for k, c in enumerate(f.coeffs)])
+        return _scale_coupling(quartic_closed_form_f(order),
+                               V.couplings.get(4, 0))
     return _free_energy_integral(V, order)
 
 
@@ -190,8 +219,7 @@ def _free_energy_integral(V, order):
 
 
 def quartic_closed_form_f(order):
-    sol = solve_one_cut(Potential.quartic(), order)
-    R = sol.R
+    R = unit_quartic_solution(order).R
     return R.log() / 2 + (R - 1) * (R - 9) / 24
 
 

@@ -38,6 +38,9 @@ def rat_parse(s):
     return Fraction(s)
 
 
+_ZERO = Fraction(0)
+
+
 class SymbolPoly:
     """Polynomial (Laurent in flagged symbols) with Fraction coefficients.
 
@@ -77,31 +80,56 @@ class SymbolPoly:
             raise KeyError(name)
         return cls(symbols, {expo: Fraction(1)}, laurent)
 
+    @classmethod
+    def _raw(cls, symbols, terms, laurent):
+        """Wrap terms that arithmetic already made valid (exponent tuples
+        allowed by laurent, Fraction values); only zeros are dropped."""
+        out = cls.__new__(cls)
+        out.symbols = symbols
+        out.laurent = laurent
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
+
     def _coerce(self, other):
         if isinstance(other, SymbolPoly):
             if other.symbols != self.symbols:
                 raise ValueError("symbol mismatch")
             return other
-        if isinstance(other, (int, Fraction)):
-            return SymbolPoly.const(self.symbols, other, self.laurent)
         return None
 
+    def _shift(self, value):
+        """self + value for a scalar: only the constant term moves."""
+        z = (0,) * len(self.symbols)
+        terms = dict(self.terms)
+        terms[z] = terms.get(z, _ZERO) + value
+        return SymbolPoly._raw(self.symbols, terms, self.laurent)
+
+    def _scale(self, value):
+        """self * value for a scalar: every term is scaled."""
+        return SymbolPoly._raw(self.symbols,
+                               {e: c * value for e, c in self.terms.items()},
+                               self.laurent)
+
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return SymbolPoly(self.symbols, terms, self.laurent | other.laurent)
+            terms[e] = terms.get(e, _ZERO) + c
+        return SymbolPoly._raw(self.symbols, terms,
+                               self.laurent | other.laurent)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymbolPoly(self.symbols, {e: -c for e, c in self.terms.items()},
-                          self.laurent)
+        return self._scale(-1)
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._shift(-other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -111,6 +139,8 @@ class SymbolPoly:
         return -(self - other)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -118,8 +148,9 @@ class SymbolPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return SymbolPoly(self.symbols, terms, self.laurent | other.laurent)
+                terms[e] = terms.get(e, _ZERO) + c1 * c2
+        return SymbolPoly._raw(self.symbols, terms,
+                               self.laurent | other.laurent)
 
     __rmul__ = __mul__
 
@@ -127,9 +158,7 @@ class SymbolPoly:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError
-            return SymbolPoly(self.symbols,
-                              {e: c / Fraction(other) for e, c in self.terms.items()},
-                              self.laurent)
+            return self._scale(1 / Fraction(other))
         if isinstance(other, SymbolPoly):
             return self * other.inverse()
         return NotImplemented

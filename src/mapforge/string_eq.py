@@ -1,9 +1,9 @@
 """Pseudo-differential operator calculus for the double-scaling limit.
 
 Everything is built from Q = d^2 - u.  The square root L = d + sum l_i d^-i
-is solved triangularly from L^2 = Q; the KdV residues are the d^-1
-coefficients of odd powers of L, and the string equations are linear
-combinations of those residues.  Coefficients live in DiffPoly, a canonical
+is solved triangularly from L^2 = Q, one coefficient per step; the KdV
+residues are the d^-1 coefficients of the odd powers L^(2m+1) = L Q^m, and
+the string equations are linear combinations of those residues.  Coefficients live in DiffPoly, a canonical
 polynomial ring in u, u', u'', ... with rational coefficients.
 """
 
@@ -29,9 +29,18 @@ class DiffPoly:
     def __init__(self, terms=None):
         self.terms = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if c:
                 self.terms[tuple(sorted(mono))] = c
+
+    @classmethod
+    def _canonical(cls, terms):
+        """Wrap terms that arithmetic already made canonical (sorted
+        monomials, Fraction values); only zeros are dropped."""
+        out = cls.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c}
+        return out
 
     @classmethod
     def const(cls, c):
@@ -57,13 +66,13 @@ class DiffPoly:
             other = DiffPoly.const(other)
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return DiffPoly(out)
+            out[mono] = out.get(mono, 0) + c
+        return DiffPoly._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly._canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -75,17 +84,21 @@ class DiffPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return DiffPoly({m: c * other for m, c in self.terms.items()})
+            return DiffPoly._canonical({m: c * other
+                                        for m, c in self.terms.items()})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return DiffPoly(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return DiffPoly._canonical(out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return DiffPoly._canonical({m: c / other
+                                        for m, c in self.terms.items()})
         return DiffPoly({m: c / other for m, c in self.terms.items()})
 
     def derivative(self):
@@ -97,8 +110,8 @@ class DiffPoly:
                     continue
                 mult = mono.count(mono[i])
                 bumped = tuple(sorted(mono[:i] + (mono[i] + 1,) + mono[i + 1:]))
-                out[bumped] = out.get(bumped, Fraction(0)) + c * mult
-        return DiffPoly(out)
+                out[bumped] = out.get(bumped, 0) + c * mult
+        return DiffPoly._canonical(out)
 
     def weight(self):
         """Max scaling weight; u^(k) carries weight k+2."""
@@ -190,52 +203,79 @@ def pdo_multiply(A, B):
                     B.cutoff - max(A.max_degree(), 0))
         if c_res < 0:
             raise DeepenCutoff("product cutoff underflow")
+    # derivative chains fb, fb', fb'', ... shared by every left factor
+    chains = {j: [fb] for j, fb in B.table.items()}
     out = {}
     for i, fa in A.table.items():
-        for j, fb in B.table.items():
+        for j, chain in chains.items():
             t = 0
-            deriv = fb
             while True:
                 deg = i - t + j
                 if c_res < INF and deg < -c_res:
                     break
+                deriv = _nth_derivative(chain, t)
+                if deriv.is_zero():
+                    break
                 coef = _binom(i, t)
-                if coef and not deriv.is_zero():
+                if coef:
                     term = fa * deriv * coef
                     out[deg] = out.get(deg, DiffPoly()) + term
-                if (i >= 0 and t >= i) or deriv.is_zero():
+                if i >= 0 and t >= i:
                     break
                 t += 1
-                deriv = deriv.derivative()
     return PseudoDiffOp(out, c_res)
 
 
+def _nth_derivative(chain, t):
+    """chain[t], extending the memoised chain f, f', f'', ... as needed."""
+    while len(chain) <= t:
+        chain.append(chain[-1].derivative())
+    return chain[t]
+
+
 def pdo_sqrt_Q(cutoff):
-    """L = d + sum_{i>=1} l_i d^-i with L^2 = Q, solved triangularly."""
-    Q = Q_operator()
+    """L = d + sum_{i>=1} l_i d^-i with L^2 = Q, solved triangularly.
+
+    The unknowns l_j (j >= i) reach degree 1-i of L^2 only as 2 l_i, so
+    step i needs just the d^(1-i) coefficient of L_{<i}^2: the sum of
+    C(a,t) l_a l_b^(t) over table degrees a, b with t = a + b - (1-i).
+    """
     table = {1: DiffPoly.const(1)}
-    work = cutoff + 2
+    chains = {1: [table[1]]}
     for i in range(1, cutoff + 1):
-        L = PseudoDiffOp(dict(table), work)
-        err = pdo_multiply(L, L) - Q
-        # unknown l_j (j >= i) only enter degrees below 1-i except 2 l_i
-        li = -err.coeff(1 - i) / 2
+        deg = 1 - i
+        acc = DiffPoly()
+        for a, la in table.items():
+            for b, chain in chains.items():
+                t = a + b - deg
+                if t < 0 or (a >= 0 and t > a):
+                    continue
+                coef = _binom(a, t)
+                deriv = _nth_derivative(chain, t)
+                if coef and not deriv.is_zero():
+                    acc = acc + la * deriv * coef
+        if deg == 0:
+            acc = acc + DiffPoly.u()  # minus Q's d^0 coefficient -u
+        li = -acc / 2
         if not li.is_zero():
             table[-i] = li
+            chains[-i] = [li]
     L = PseudoDiffOp(table, cutoff)
-    check = pdo_multiply(L, L) - Q
+    check = pdo_multiply(L, L) - Q_operator()
     if any(not f.is_zero() for f in check.table.values()):
         raise AlgebraBug("L^2 != Q within cutoff")
     return L
 
 
 def _L_power(m, depth):
-    """L^(2m+1) exact down to d^-depth."""
-    need = depth + 2 * m + 2
-    L = pdo_sqrt_Q(need)
-    P = L
-    for _ in range(2 * m):
-        P = pdo_multiply(P, L)
+    """L^(2m+1) = L Q^m, exact down to d^-depth.
+
+    Each product by the two-term Q costs 2 of cutoff, and the L^2 check
+    inside pdo_sqrt_Q needs a cutoff of at least 1."""
+    P = pdo_sqrt_Q(max(depth, 1) + 2 * m)
+    Q = Q_operator()
+    for _ in range(m):
+        P = pdo_multiply(P, Q)
     if P.cutoff < depth:
         raise DeepenCutoff("power lost too much depth")
     return P
@@ -243,7 +283,7 @@ def _L_power(m, depth):
 
 def kdv_residue(m):
     """R_{m+1}[u] = coefficient of d^-1 in L^(2m+1)."""
-    P = _L_power(m, 2 * m + 2)
+    P = _L_power(m, 1)
     minus = P.minus_part()
     if not minus.coeff(0).is_zero():
         raise AlgebraBug("odd power of L has a d^0 tail")
@@ -366,7 +406,7 @@ def string_equation_residual_orders(m, us, top_level):
 
 def commutator_check(m):
     """[P, Q] with P = (L^(2m+1))_+; must be multiplication by 2 R_{m+1}'."""
-    P = _L_power(m, 2 * m + 2).plus_part()
+    P = _L_power(m, 0).plus_part()
     if P.max_degree() != 2 * m + 1:
         raise AlgebraBug("deg P != 2m+1")
     Q = Q_operator()

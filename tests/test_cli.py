@@ -230,3 +230,27 @@ def test_metadata_echoes_parameters(capsys):
     params = doc["metadata"]["parameters"]
     assert params["g4"] == "1/2" and params["order"] == 2
     assert doc["metadata"]["command"] == "planar"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("stringeq", "--m", "-1"), "BadParameter: m must be >= 0\n"),
+    (("planar", "--order", "-1"), "BadParameter: order must be >= 0\n"),
+    (("genus", "--order", "-1"), "BadParameter: order must be >= 0\n"),
+])
+def test_negative_sizes_exit_2(capsys, argv, message):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == message
+
+
+@pytest.mark.parametrize("g4", ["1/2", "-3", "0"])
+def test_planar_rescales_the_unit_quartic(capsys, g4):
+    # the printed solution is the unit one with coefficient k times g4^k;
+    # it must equal a direct solve at that coupling
+    from mapforge.planar_onecut import Potential, solve_one_cut
+    doc = run_json(capsys, "planar", "--g4", g4, "--order", "6",
+                   "--emit", "R,S")
+    sol = solve_one_cut(Potential.quartic(rat_parse(g4)), 6)
+    assert doc["results"] == {"R": [rat_str(c) for c in sol.R.coeffs],
+                              "S": [rat_str(c) for c in sol.S.coeffs]}

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapforge.string_eq import (
-    DeepenCutoff, DiffPoly, PseudoDiffOp, Q_operator, StringEqn,
+    DeepenCutoff, DiffPoly, PseudoDiffOp, Q_operator, StringEqn, _L_power,
     commutator_check, double_scaling_exponents, kdv_recursion_residual,
     kdv_residue, painleve_genus_coeffs, painleve_ratio, pdo_multiply,
     pdo_sqrt_Q, string_equation, string_equation_residual_orders,
@@ -117,3 +118,79 @@ def test_double_scaling_exponents():
         assert d == 2 * m + 1
         assert prev < e < 1
         prev = e
+
+
+# Oracle: the earlier square root and power, which form the whole product
+# L.L at full depth for every coefficient and multiply by L 2m times.
+# Independent of the one-coefficient-per-step solve in pdo_sqrt_Q and of
+# the L Q^m route in _L_power.
+
+def _oracle_sqrt_Q(cutoff):
+    Q = Q_operator()
+    table = {1: DiffPoly.const(1)}
+    work = cutoff + 2
+    for i in range(1, cutoff + 1):
+        L = PseudoDiffOp(dict(table), work)
+        err = pdo_multiply(L, L) - Q
+        li = -err.coeff(1 - i) / 2
+        if not li.is_zero():
+            table[-i] = li
+    return PseudoDiffOp(table, cutoff)
+
+
+def _oracle_L_power(m, depth):
+    L = _oracle_sqrt_Q(depth + 2 * m + 2)
+    P = L
+    for _ in range(2 * m):
+        P = pdo_multiply(P, L)
+    return P
+
+
+@pytest.mark.parametrize("cutoff", range(1, 11))
+def test_sqrt_Q_matches_full_product_oracle(cutoff):
+    L, want = pdo_sqrt_Q(cutoff), _oracle_sqrt_Q(cutoff)
+    assert L.cutoff == want.cutoff == cutoff
+    assert L.table == want.table
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_L_power_matches_repeated_product_oracle(m):
+    # the oracle at the largest depth is exact down to d^-(2m+2), so it
+    # checks every shallower request too
+    want = _oracle_L_power(m, 2 * m + 2)
+    assert want.cutoff >= 2 * m + 2
+    for depth in range(2 * m + 3):
+        P = _L_power(m, depth)
+        assert P.cutoff >= depth
+        assert P.max_degree() == want.max_degree() == 2 * m + 1
+        assert all(P.coeff(d) == want.coeff(d)
+                   for d in range(-depth, 2 * m + 2))
+
+
+def test_L_power_refuses_degrees_below_its_depth():
+    # a coefficient deeper than requested is refused, never returned wrong
+    with pytest.raises(DeepenCutoff):
+        _L_power(2, 1).coeff(-2)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_kdv_recursion_through_m5(m):
+    assert kdv_recursion_residual(m).is_zero()
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_commutators_through_m5(m):
+    assert commutator_check(m) == 2 * kdv_residue(m).derivative()
+
+
+_monos = st.lists(st.integers(0, 3), max_size=3).map(tuple)
+_diffpolys = st.dictionaries(
+    _monos, st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=4).map(DiffPoly)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_diffpolys, _diffpolys)
+def test_derivative_obeys_leibniz(p, q):
+    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+    assert (p + q).derivative() == p.derivative() + q.derivative()
