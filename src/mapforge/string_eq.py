@@ -87,10 +87,7 @@ class DiffPoly:
             return DiffPoly._canonical({m: c * other
                                         for m, c in self.terms.items()})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, 0) + c1 * c2
+        _add_product(out, self.terms, other.terms)
         return DiffPoly._canonical(out)
 
     __rmul__ = __mul__
@@ -128,6 +125,14 @@ class DiffPoly:
             fac = "*".join("u" + "'" * k for k in mono) or "1"
             bits.append("%s*%s" % (self.terms[mono], fac))
         return " + ".join(bits)
+
+
+def _add_product(acc, p, q):
+    """acc += p q on DiffPoly term dicts, in place; zeros may remain."""
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mono = tuple(sorted(m1 + m2))
+            acc[mono] = acc.get(mono, 0) + c1 * c2
 
 
 def _binom(a, t):
@@ -203,10 +208,12 @@ def pdo_multiply(A, B):
                     B.cutoff - max(A.max_degree(), 0))
         if c_res < 0:
             raise DeepenCutoff("product cutoff underflow")
-    # derivative chains fb, fb', fb'', ... shared by every left factor
+    # derivative chains fb, fb', fb'', ... shared by every left factor, and
+    # C(i,t) fa shared by every right one; terms accumulate per degree
     chains = {j: [fb] for j, fb in B.table.items()}
     out = {}
     for i, fa in A.table.items():
+        scaled = []
         for j, chain in chains.items():
             t = 0
             while True:
@@ -216,14 +223,15 @@ def pdo_multiply(A, B):
                 deriv = _nth_derivative(chain, t)
                 if deriv.is_zero():
                     break
-                coef = _binom(i, t)
-                if coef:
-                    term = fa * deriv * coef
-                    out[deg] = out.get(deg, DiffPoly()) + term
+                if len(scaled) <= t:
+                    scaled.append(fa * _binom(i, t))
+                _add_product(out.setdefault(deg, {}), scaled[t].terms,
+                             deriv.terms)
                 if i >= 0 and t >= i:
                     break
                 t += 1
-    return PseudoDiffOp(out, c_res)
+    return PseudoDiffOp({d: DiffPoly._canonical(terms)
+                         for d, terms in out.items()}, c_res)
 
 
 def _nth_derivative(chain, t):

@@ -184,12 +184,11 @@ def test_commutators_through_m5(m):
 
 
 _monos = st.lists(st.integers(0, 3), max_size=3).map(tuple)
-_diffpolys = st.dictionaries(
-    _monos, st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    max_size=4).map(DiffPoly)
+_diffpolys = st.dictionaries(_monos, st.integers(-5, 5),
+                             max_size=4).map(DiffPoly)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(_diffpolys, _diffpolys)
 def test_derivative_obeys_leibniz(p, q):
     assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
