@@ -93,10 +93,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DiffPoly._canonical({m: c / other
-                                        for m, c in self.terms.items()})
-        return DiffPoly({m: c / other for m, c in self.terms.items()})
+        return self * (1 / Fraction(other))
 
     def derivative(self):
         """d/dy via the product rule; u^(k) -> u^(k+1)."""
@@ -252,19 +249,17 @@ def pdo_sqrt_Q(cutoff):
     chains = {1: [table[1]]}
     for i in range(1, cutoff + 1):
         deg = 1 - i
-        acc = DiffPoly()
+        acc = {}
         for a, la in table.items():
             for b, chain in chains.items():
                 t = a + b - deg
                 if t < 0 or (a >= 0 and t > a):
                     continue
-                coef = _binom(a, t)
-                deriv = _nth_derivative(chain, t)
-                if coef and not deriv.is_zero():
-                    acc = acc + la * deriv * coef
+                _add_product(acc, (la * _binom(a, t)).terms,
+                             _nth_derivative(chain, t).terms)
         if deg == 0:
-            acc = acc + DiffPoly.u()  # minus Q's d^0 coefficient -u
-        li = -acc / 2
+            acc[(0,)] = acc.get((0,), 0) + 1  # minus Q's d^0 coefficient -u
+        li = DiffPoly._canonical(acc) / -2
         if not li.is_zero():
             table[-i] = li
             chains[-i] = [li]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,17 +126,28 @@ def test_double_scaling_exponents():
 # Independent of the one-coefficient-per-step solve in pdo_sqrt_Q and of
 # the L Q^m route in _L_power.
 
-def _oracle_sqrt_Q(cutoff):
+_ORACLE_CUTOFF = 12  # the deepest square root any check below asks for
+
+
+@lru_cache(maxsize=None)
+def _oracle_sqrt_Q_deepest():
     Q = Q_operator()
     table = {1: DiffPoly.const(1)}
-    work = cutoff + 2
-    for i in range(1, cutoff + 1):
+    work = _ORACLE_CUTOFF + 2
+    for i in range(1, _ORACLE_CUTOFF + 1):
         L = PseudoDiffOp(dict(table), work)
         err = pdo_multiply(L, L) - Q
         li = -err.coeff(1 - i) / 2
         if not li.is_zero():
             table[-i] = li
-    return PseudoDiffOp(table, cutoff)
+    return table
+
+
+def _oracle_sqrt_Q(cutoff):
+    # l_i is fixed at step i, whatever the final cutoff, so a shallower
+    # root is the deepest one cut at d^-cutoff
+    assert cutoff <= _ORACLE_CUTOFF
+    return PseudoDiffOp(_oracle_sqrt_Q_deepest(), cutoff)
 
 
 def _oracle_L_power(m, depth):
