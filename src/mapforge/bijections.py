@@ -19,8 +19,9 @@ finished map.
 
 import random
 from itertools import accumulate, combinations, product
+from operator import eq
 
-from .wick_fatgraphs import CombinatorialMap, faces_and_genus
+from .wick_fatgraphs import CombinatorialMap
 
 TREE_CAP = 8
 
@@ -85,26 +86,7 @@ def check_blossom(t):
 
 def enumerate_blossom_trees(n_vertices):
     """All quartic blossom trees with the given number of inner vertices."""
-    if n_vertices > TREE_CAP:
-        raise TooLarge("blossom enumeration capped at %d vertices" % TREE_CAP)
-
-    def charged(n):
-        if n == 0:
-            yield ("W",)
-            return
-        for pos in range(3):
-            for n1 in range(n):
-                for left in charged(n1):
-                    for right in charged(n - 1 - n1):
-                        kids = [None, None, None]
-                        kids[pos] = ("B",)
-                        rest = iter((left, right))
-                        for i in range(3):
-                            if kids[i] is None:
-                                kids[i] = next(rest)
-                        yield ("V", tuple(kids))
-
-    yield from charged(n_vertices)
+    return enumerate_even_blossom_trees((4,), n_vertices)
 
 
 def enumerate_even_blossom_trees(valences, n_vertices):
@@ -138,7 +120,8 @@ def enumerate_even_blossom_trees(valences, n_vertices):
                             kids[slot] = sub
                         yield ("V", tuple(kids))
 
-    yield from charged(n_vertices)
+    # only the smaller sizes are cached; the requested one streams
+    yield from gen(n_vertices)
 
 
 def _compositions(total, parts):
@@ -229,20 +212,22 @@ def blossom_close(t):
 
 def check_two_leg(m):
     """Planar connected map, two univalent legs with the root dart on one
-    of them, all other vertices 4-valent."""
+    of them, all other vertices 4-valent; returns the vertices."""
     if len(m.components()) != 1:
         raise NotTwoLeg("map not connected")
-    _, _, _, genera = faces_and_genus(m)
-    if genera != [0]:
+    verts = m.vertices()
+    # Euler's formula for the one component
+    if len(verts) - m.n_darts // 2 + len(m.faces()) != 2:
         raise NotTwoLeg("map not planar")
-    legs = [v for v in m.vertices() if len(v) == 1]
+    legs = [v for v in verts if len(v) == 1]
     if len(legs) != 2:
         raise NotTwoLeg("need exactly two univalent legs")
     if not any(m.root in v for v in legs):
         raise NotTwoLeg("root dart must sit on a leg")
-    for v in m.vertices():
+    for v in verts:
         if len(v) not in (1, 4):
             raise NotTwoLeg("inner vertices must be 4-valent")
+    return verts
 
 
 def blossom_cut(m):
@@ -251,11 +236,11 @@ def blossom_cut(m):
     Walks the external face (the one at the in-leg) in the face orientation,
     cutting every non-bridge edge into a black stub (side met first) and a
     white stub, until only a tree remains."""
-    check_two_leg(m)
+    verts = check_two_leg(m)
     sigma = list(m.sigma)
     alpha = list(m.alpha)
     root_dart = m.root
-    legs = [v[0] for v in m.vertices() if len(v) == 1]
+    legs = [v[0] for v in verts if len(v) == 1]
     in_dart = [d for d in legs if d != root_dart][0]
     color = {}
     leg_like = {in_dart, root_dart}
@@ -405,75 +390,53 @@ def enumerate_well_labeled(n_edges, root_label=0):
 # CVS bijection: rooted quadrangulations <-> well-labeled trees
 
 
-def _vertex_data(m):
-    verts = m.vertices()
-    vertex_of = {}
-    for i, v in enumerate(verts):
-        for d in v:
-            vertex_of[d] = i
-    return verts, vertex_of
-
-
-def _bfs_distances(m, verts, vertex_of, origin):
-    dist = [None] * len(verts)
-    dist[origin] = 0
-    queue = [origin]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for d in verts[v]:
-            w = vertex_of[m.alpha[d]]
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 def check_quadrangulation(m):
-    if m.root is None:
+    """Rooted, connected, planar, bipartite, every face of degree 4;
+    returns (faces, dist) with dist as _bfs gives it."""
+    if m.root not in range(m.n_darts):
         raise NotQuadrangulation("a root dart is required")
-    if len(m.components()) != 1:
+    dist, queue = _bfs(m)
+    if -1 in dist:
         raise NotQuadrangulation("map not connected")
-    _, _, _, genera = faces_and_genus(m)
-    if genera != [0]:
+    faces = m.faces()
+    # Euler's formula, queue holding one dart per vertex
+    if len(queue) - m.n_darts // 2 + len(faces) != 2:
         raise NotQuadrangulation("map not planar")
-    for f in m.faces():
+    for f in faces:
         if len(f) != 4:
             raise NotQuadrangulation("all faces must have degree 4")
-    verts, vertex_of = _vertex_data(m)
-    dist = _bfs_distances(m, verts, vertex_of, vertex_of[m.root])
-    for d in range(m.n_darts):
-        if dist[vertex_of[d]] == dist[vertex_of[m.alpha[d]]]:
-            raise NotQuadrangulation("quadrangulations are bipartite")
-    return verts, vertex_of, dist
+    if any(map(eq, dist, map(dist.__getitem__, m.alpha))):
+        raise NotQuadrangulation("quadrangulations are bipartite")
+    return faces, dist
 
 
 def cvs_forward(m):
     """Rooted quadrangulation -> well-labeled tree (root label 0)."""
-    _, vertex_of, dist = check_quadrangulation(m)
+    faces, dist = check_quadrangulation(m)
     # one new edge per face, joining the two corners preceded around the
     # face by a corner with a label one less
     anchor = {}
-    for face in m.faces():
-        marked = []
-        for i, d in enumerate(face):
-            nd = face[(i - 1) % len(face)]
-            if dist[vertex_of[nd]] == dist[vertex_of[d]] - 1:
-                marked.append(d)
+    for face in faces:
+        marked = [d for i, d in enumerate(face)
+                  if dist[face[i - 1]] == dist[d] - 1]
         if len(marked) != 2:
             raise NotQuadrangulation("face with a bad label pattern")
         a, b = marked
         anchor[a] = b
         anchor[b] = a
     sigma = m.sigma
-    visited = set()
+    seen = [False] * m.n_darts
 
     def rotation(b):
-        # the darts after b around its vertex, b excluded
+        # the darts after b around its vertex, b excluded; the walk marks
+        # every dart of the vertex, so a second visit is caught at b
+        if seen[b]:
+            raise NotQuadrangulation("new edges do not form a tree")
+        seen[b] = True
         out = []
         d = sigma[b]
         while d != b:
+            seen[d] = True
             out.append(d)
             d = sigma[d]
         return out
@@ -481,11 +444,7 @@ def cvs_forward(m):
     def enter(b, darts):
         # b anchors the tree edge at the child vertex; the children hang off
         # the anchored darts among darts, in rotation order
-        v = vertex_of[b]
-        if v in visited:
-            raise NotQuadrangulation("new edges do not form a tree")
-        visited.add(v)
-        return dist[v] - 1, [], iter(darts)
+        return dist[b] - 1, [], iter(darts)
 
     # the root vertex's children follow the root's dart, all the way round
     a = m.alpha[m.root]
@@ -504,7 +463,7 @@ def cvs_forward(m):
                 break
             stack[-1][1].append(t)
     check_well_labeled(t)
-    if tree_edges(t) != len(m.faces()):
+    if tree_edges(t) != len(faces):
         raise NotQuadrangulation("tree edge count differs from face count")
     return t
 
@@ -750,19 +709,17 @@ def sample_quadrangulation_uniform(A, seed, index=0):
     return m
 
 
-def distance_profile(m):
-    """(counts of vertices per distance from the root start, degree of the
-    root start vertex)."""
+def _bfs(m):
+    """Breadth-first search from the root's vertex over the vertices, each
+    a sigma cycle.  Returns (dist, queue): dist[d] is the distance of d's
+    vertex (-1 where not reached), queue one dart per reached vertex in
+    visiting order."""
     sigma, alpha = m.sigma, m.alpha
-    # breadth-first over the vertices, each a sigma cycle: dist[d] is the
-    # distance of d's vertex (-1 until reached), queue one dart per vertex
     dist = [-1] * len(sigma)
     queue = [m.root]
     d = m.root
-    deg = 0
     while dist[d] < 0:
         dist[d] = 0
-        deg += 1
         d = sigma[d]
     for start in queue:
         k = dist[start] + 1
@@ -777,11 +734,18 @@ def distance_profile(m):
             d = sigma[d]
             if d == start:
                 break
+    return dist, queue
+
+
+def distance_profile(m):
+    """(counts of vertices per distance from the root start, degree of the
+    root start vertex)."""
+    dist, queue = _bfs(m)
     counts = {}
     for d in queue:
         k = dist[d]
         counts[k] = counts.get(k, 0) + 1
-    return counts, deg
+    return counts, dist.count(0)
 
 
 def acceptance_stats(A, seed, proposals):

@@ -201,14 +201,6 @@ class SymbolPoly:
     def __bool__(self):
         return bool(self.terms)
 
-    def is_const(self):
-        z = (0,) * len(self.symbols)
-        return all(e == z for e in self.terms)
-
-    def const_value(self):
-        z = (0,) * len(self.symbols)
-        return self.terms.get(z, Fraction(0))
-
     def coeff(self, **expos):
         """Coefficient of a monomial given as symbol=exponent keywords."""
         e = tuple(expos.get(s, 0) for s in self.symbols)
@@ -438,12 +430,6 @@ class TruncSeries:
 
     def is_zero(self):
         return all(_coeff_is_zero(c) for c in self.coeffs)
-
-    def valuation(self):
-        for k, c in enumerate(self.coeffs):
-            if not _coeff_is_zero(c):
-                return k
-        return self.order + 1
 
     def map_coeffs(self, f):
         return TruncSeries(self.var, [f(c) for c in self.coeffs])

@@ -146,18 +146,17 @@ def enumerate_pairings(profile, cap=DEFAULT_CAP):
 
 def faces_and_genus(m):
     """(V, E, F, genus list per connected component)."""
-    V = len(m.vertices())
-    E = m.n_darts // 2
-    F = len(m.faces())
-    genera = []
-    face_of = {}
-    for i, f in enumerate(m.faces()):
+    verts = m.vertices()
+    faces = m.faces()
+    face_of = [0] * m.n_darts
+    for i, f in enumerate(faces):
         for d in f:
             face_of[d] = i
-    vert_of = {}
-    for i, v in enumerate(m.vertices()):
+    vert_of = [0] * m.n_darts
+    for i, v in enumerate(verts):
         for d in v:
             vert_of[d] = i
+    genera = []
     for comp in m.components():
         cv = len({vert_of[d] for d in comp})
         cf = len({face_of[d] for d in comp})
@@ -166,7 +165,7 @@ def faces_and_genus(m):
         if chi % 2:
             raise MalformedMap("odd Euler characteristic")
         genera.append((2 - chi) // 2)
-    return V, E, F, genera
+    return len(verts), m.n_darts // 2, len(faces), genera
 
 
 def _face_count(sigma, alpha):

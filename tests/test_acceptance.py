@@ -28,8 +28,7 @@ from mapforge.bijections import (blossom_close, blossom_cut, canonical_form,
                                  enumerate_blossom_trees,
                                  enumerate_quadrangulations,
                                  enumerate_well_labeled, acceptance_stats,
-                                 sample_quadrangulation_uniform,
-                                 _bfs_distances, _vertex_data)
+                                 sample_quadrangulation_uniform)
 from mapforge.observables import (edges_at_distance, vertices_at_distance,
                                   edges_at_distance_asymptotic,
                                   vertices_at_distance_asymptotic,
@@ -40,6 +39,8 @@ from functools import lru_cache
 from mapforge.branching import (BranchingConfig, simulate_extinction,
                                 newton_bounded_Rn, theta_bounded_Rn,
                                 weierstrass_scaling_check)
+
+from map_oracles import origin_average
 
 
 def test_01_gaussian_moments_are_catalan():
@@ -221,19 +222,6 @@ def test_10_sampler_statistics():
     assert chi2_dist.sf(chi2, 8) > 0.001
 
 
-def _origin_average(A, stat):
-    num = F(0)
-    den = F(0)
-    for m in enumerate_quadrangulations(A):
-        verts, vertex_of = _vertex_data(m)
-        origin = vertex_of[m.root]
-        dist = _bfs_distances(m, verts, vertex_of, origin)
-        w = F(1, len(verts[origin]))
-        num += w * stat(m, dist, vertex_of)
-        den += w
-    return num / den
-
-
 def test_11_local_environment_exact_values():
     assert edges_at_distance_asymptotic(0) == 4
     assert edges_at_distance_asymptotic(1) == 19
@@ -253,9 +241,9 @@ def test_11_local_environment_exact_values():
                         if {a, b} == {n, n + 1}:
                             c += 1
                 return c
-            assert vertices_at_distance(n, A) == _origin_average(
+            assert vertices_at_distance(n, A) == origin_average(
                 A, count_vertices)
-            assert edges_at_distance(n, A) == _origin_average(A, count_edges)
+            assert edges_at_distance(n, A) == origin_average(A, count_edges)
     Q = quartic_R0_rho_sigma(1)
     c1 = Q.coeffs[1]
     assert c1.coeff(rho=1, sigma=1) == 1 and c1.coeff(rho=2, sigma=2) == 1

@@ -14,15 +14,18 @@ from mapforge.geodesic import solve_Rn_series
 from mapforge.observables import mc_profile
 from mapforge.wick_fatgraphs import CombinatorialMap
 from mapforge.bijections import (
-    NotBlossom, NotQuadrangulation, NotWellLabeled, TooLarge,
+    NotBlossom, NotQuadrangulation, NotTwoLeg, NotWellLabeled, TooLarge,
     acceptance_stats, blossom_close, blossom_cut, canonical_form,
-    check_well_labeled, cvs_forward, cvs_inverse, distance_profile,
+    check_quadrangulation, check_two_leg, check_well_labeled, cvs_forward,
+    cvs_inverse, distance_profile,
     enumerate_blossom_trees, enumerate_even_blossom_trees,
     enumerate_quadrangulations, enumerate_well_labeled,
     pointed_quadrangulation, sample_quadrangulation,
     sample_quadrangulation_uniform, sample_well_labeled_tree,
     tree_label_profile, _rng, random_plane_tree,
 )
+
+from map_oracles import vertex_bfs
 
 # the default; the tests at A = 10**5 must pass without raising it
 RECURSION_LIMIT = 1000
@@ -211,12 +214,67 @@ def test_validation_errors():
         cvs_forward(CombinatorialMap([0, 1], [1, 0], root=0))
 
 
+
+# Small hand-built maps, as (sigma, alpha): two separate edges; one vertex
+# with two crossing loops (one face, genus 1); one edge; one loop; the
+# path a - b - c with b 2-valent, dart 0 at a and dart 1 at b.
+TWO_EDGES = ([0, 1, 2, 3], [1, 0, 3, 2])
+TORUS = ([1, 2, 3, 0], [2, 3, 0, 1])
+EDGE = ([0, 1], [1, 0])
+LOOP = ([1, 0], [1, 0])
+PATH = ([0, 2, 1, 3], [1, 0, 3, 2])
+
+
+class _FourFaced(CombinatorialMap):
+    """Reports darts 4i..4i+3 as face i, whatever sigma and alpha say.  A
+    planar map whose faces all have even degree is bipartite, so no honest
+    map reaches the bipartite check of check_quadrangulation."""
+
+    __slots__ = ()
+
+    def faces(self):
+        return [list(range(i, i + 4)) for i in range(0, self.n_darts, 4)]
+
+
+# a triangle a, b, c with a pendant edge c - d: V = 4, E = 4, and two
+# reported faces make it look planar
+TRIANGLE_AND_EDGE = ([1, 0, 3, 2, 5, 6, 4, 7], [2, 4, 0, 5, 1, 3, 7, 6])
+
+
+@pytest.mark.parametrize("m, message", [
+    (CombinatorialMap(*EDGE), "a root dart is required"),
+    (CombinatorialMap(*TWO_EDGES, root=0), "map not connected"),
+    (CombinatorialMap(*TORUS, root=0), "map not planar"),
+    (CombinatorialMap(*EDGE, root=0), "all faces must have degree 4"),
+    (_FourFaced(*TRIANGLE_AND_EDGE, root=0),
+     "quadrangulations are bipartite"),
+], ids=["no-root", "disconnected", "torus", "edge", "odd-cycle"])
+def test_check_quadrangulation_messages(m, message):
+    with pytest.raises(NotQuadrangulation) as err:
+        check_quadrangulation(m)
+    assert type(err.value) is NotQuadrangulation
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("m, message", [
+    (CombinatorialMap(*TWO_EDGES, root=0), "map not connected"),
+    (CombinatorialMap(*TORUS, root=0), "map not planar"),
+    (CombinatorialMap(*LOOP, root=0), "need exactly two univalent legs"),
+    (CombinatorialMap(*PATH, root=1), "root dart must sit on a leg"),
+    (CombinatorialMap(*PATH, root=0), "inner vertices must be 4-valent"),
+], ids=["disconnected", "torus", "loop", "root-inside", "path"])
+def test_check_two_leg_messages(m, message):
+    with pytest.raises(NotTwoLeg) as err:
+        check_two_leg(m)
+    assert type(err.value) is NotTwoLeg
+    assert str(err.value) == message
+
 # ---------------------------------------------------------------------------
 # Oracle: the nested-tuple route the flat-array sampler replaced, kept here
 # as an independent check.  The tree is parsed recursively from the same
 # shuffled step list, labelled recursively in preorder, and the chords are
-# built per corner with sorted incoming lists; distance_profile is a BFS
-# over m.vertices() through a dart -> vertex dict.
+# built per corner with sorted incoming lists; distance_profile is checked
+# against the vertex BFS of map_oracles.
 
 
 def _oracle_plane_tree(A, rng):
@@ -306,19 +364,8 @@ def _oracle_pointed_quadrangulation(t, eps):
 
 
 def _oracle_distance_profile(m):
-    verts = m.vertices()
-    vertex_of = {d: i for i, v in enumerate(verts) for d in v}
-    origin = vertex_of[m.root]
-    dist = [None] * len(verts)
-    dist[origin] = 0
-    queue = [origin]
-    for v in queue:
-        for d in verts[v]:
-            w = vertex_of[m.alpha[d]]
-            if dist[w] is None:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dict(Counter(dist)), len(verts[origin])
+    verts, vertex_of, dist = vertex_bfs(m)
+    return dict(Counter(dist)), len(verts[vertex_of[m.root]])
 
 
 def _oracle_pointed_rows(A, n_max, samples, seed):

@@ -6,10 +6,7 @@ import pytest
 from mapforge.series_core import SymbolPoly, TruncSeries
 from mapforge.planar_onecut import Potential, solve_one_cut
 from mapforge.geodesic import solve_Rn_series
-from mapforge.bijections import (
-    distance_profile, enumerate_quadrangulations, enumerate_well_labeled,
-    _bfs_distances, _vertex_data,
-)
+from mapforge.bijections import enumerate_well_labeled
 from mapforge.observables import (
     BranchError, IntegrationObstruction, edges_at_distance,
     edges_at_distance_asymptotic, gamma_infinite, gamma_rho_closed_form,
@@ -21,20 +18,7 @@ from mapforge.observables import (
     weighted_Rn_solve, weighted_Zn_solve,
 )
 
-
-def _origin_average(A, stat):
-    """Exact average of stat(map, dist, verts) over area-A quadrangulations
-    with a uniform origin vertex: root-start origin, weights 1/deg."""
-    num = F(0)
-    den = F(0)
-    for m in enumerate_quadrangulations(A):
-        verts, vertex_of = _vertex_data(m)
-        origin = vertex_of[m.root]
-        dist = _bfs_distances(m, verts, vertex_of, origin)
-        w = F(1, len(verts[origin]))
-        num += w * stat(m, dist, vertex_of)
-        den += w
-    return num / den
+from map_oracles import origin_average
 
 
 def test_edges_at_distance_oracles():
@@ -59,7 +43,7 @@ def test_edges_match_exhaustive_counting():
                         if {a, b} == {n, n + 1}:
                             c += 1
                 return c
-            assert edges_at_distance(n, A) == _origin_average(A, stat)
+            assert edges_at_distance(n, A) == origin_average(A, stat)
 
 
 def test_edges_asymptotic():
@@ -85,7 +69,7 @@ def test_vertices_match_exhaustive_counting():
         for n in range(A + 2):
             def stat(m, dist, vertex_of, n=n):
                 return sum(1 for x in dist if x == n)
-            assert vertices_at_distance(n, A) == _origin_average(A, stat)
+            assert vertices_at_distance(n, A) == origin_average(A, stat)
 
 
 def test_vertices_asymptotic():
@@ -197,7 +181,7 @@ def test_local_weight_average_matches_exhaustive():
             return stat
         got = local_weight_average(A)
         for e, c in got.terms.items():
-            assert _origin_average(A, stat_factory(e)) == c
+            assert origin_average(A, stat_factory(e)) == c
         total = sum(c for c in got.terms.values())
         assert total == 1
 
