@@ -393,7 +393,7 @@ def enumerate_well_labeled(n_edges, root_label=0):
 def check_quadrangulation(m):
     """Rooted, connected, planar, bipartite, every face of degree 4;
     returns (faces, dist) with dist as _bfs gives it."""
-    if m.root not in range(m.n_darts):
+    if m.root is None:
         raise NotQuadrangulation("a root dart is required")
     dist, queue = _bfs(m)
     if -1 in dist:

@@ -24,7 +24,7 @@ from .wick_fatgraphs import TooLarge, connected_free_energy_F, genus_split
 from .ortho_genus import (IncreaseM, NoPhysicalRoot, DegenerateMeasure,
                           StructureViolation, exact_free_energy_FN,
                           genus_extract)
-from .string_eq import DeepenCutoff, AlgebraBug, kdv_residue, commutator_check
+from .string_eq import DeepenCutoff, AlgebraBug, kdv_residues, commutator_check
 from .geodesic import (DomainError, quartic_coeff_table, integral_of_motion,
                        scaling_F, scaling_G, discrete_to_continuum_check)
 from .bijections import sample_quadrangulation_uniform, distance_profile
@@ -218,9 +218,9 @@ def _cmd_stringeq(args):
     rows = []
     if "residues" in emits:
         res = {}
-        for j in range(args.m + 1):
+        for j, R in enumerate(kdv_residues(args.m)):
             name = "R%d" % (j + 1)
-            res[name] = diffpoly_text(kdv_residue(j))
+            res[name] = diffpoly_text(R)
             rows.append((name, res[name]))
         results["residues"] = res
     if "commutator" in emits:

@@ -150,81 +150,69 @@ def vertices_at_distance_numeric(n, A):
 # weighted R_n system with the conserved-quantity closure
 
 
-def _exact_quotient(p, num, den):
-    """Exact quotient of SymbolPoly p by (num*den - 1) for two symbols."""
-    symbols = p.symbols
+def _exact_quotient(symbols, num, den):
+    """Coefficient map: exact quotient by (num*den - 1), num and den two of
+    the symbols.  A Fraction zero maps to a SymbolPoly zero; anything not
+    divisible raises ArithmeticError."""
     ri = symbols.index(num)
     si = symbols.index(den)
-    terms = {e: c for e, c in p.terms.items()}
-    out = {}
-    while terms:
-        e = max(terms, key=lambda t: t[ri])
-        if e[ri] < 1:
-            raise ArithmeticError("polynomial not divisible by %s*%s-1"
-                                  % (num, den))
-        c = terms.pop(e)
-        qe = list(e)
-        qe[ri] -= 1
-        qe[si] -= 1
-        qe = tuple(qe)
-        out[qe] = out.get(qe, Fraction(0)) + c
-        terms[qe] = terms.get(qe, Fraction(0)) + c
-        if terms[qe] == 0:
-            del terms[qe]
-    return SymbolPoly(symbols, out)
+
+    def quotient(p):
+        if not isinstance(p, SymbolPoly):
+            p = SymbolPoly.const(symbols, p)
+        terms = dict(p.terms)
+        out = {}
+        while terms:
+            e = max(terms, key=lambda t: t[ri])
+            if e[ri] < 1:
+                raise ArithmeticError("polynomial not divisible by %s*%s-1"
+                                      % (num, den))
+            c = terms.pop(e)
+            qe = list(e)
+            qe[ri] -= 1
+            qe[si] -= 1
+            qe = tuple(qe)
+            out[qe] = out.get(qe, Fraction(0)) + c
+            terms[qe] = terms.get(qe, Fraction(0)) + c
+            if terms[qe] == 0:
+                del terms[qe]
+        return SymbolPoly(symbols, out)
+
+    return quotient
 
 
 def weighted_Zn_solve(k, order):
     """Z_n series, n = 0..k+1, with symbolic weights rho_p, sigma_p.
 
-    The k+1 explicit relations Z_n = sigma_n rho_n / (1 - g sigma_n
-    (Z_{n+1}+Z_n+Z_{n-1})) are used order by order, and Z_{k+1} is fixed
-    at each order by the conserved quantity f(Z_k, Z_{k+1}) = f(R, R)."""
+    One triangular system: Z_n = sigma_n (rho_n + g Z_n (Z_{n+1} + Z_n +
+    Z_{n-1})) for n <= k, and Z_{k+1} is fixed by the conserved quantity
+    f(Z_k, Z_{k+1}) = f(R, R), f(x, y) = xy - g x y (x + y) - x - y.  Its
+    coefficient A enters [g^A] f as (rho_k sigma_k - 1) Z_{k+1,A}, so
+    Y + (f(R, R) - f(Z_k, Y)) / (rho_k sigma_k - 1) updates it."""
     syms = tuple("rho%d" % p for p in range(k + 1)) \
         + tuple("sigma%d" % p for p in range(k + 1))
-    zero = SymbolPoly.const(syms, 0)
-    one = SymbolPoly.const(syms, 1)
     rho = [SymbolPoly.sym(syms, "rho%d" % p) for p in range(k + 1)]
     sig = [SymbolPoly.sym(syms, "sigma%d" % p) for p in range(k + 1)]
     R = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
-    fRR = (R * R * (1 - 2 * g * R) - 2 * R).coeffs
-    z = {n: [zero] * (order + 1) for n in range(-1, k + 2)}
-    for n in range(k + 1):
-        z[n][0] = sig[n] * rho[n]
-    z[k + 1][0] = one
 
-    def conv(*lists):
-        A = order
-        out = [zero] * (A + 1)
-        for i, a in enumerate(lists[0]):
-            out[i] = a
-        for nxt in lists[1:]:
-            new = [zero] * (A + 1)
-            for i in range(A + 1):
-                for j in range(A + 1 - i):
-                    if out[i] and nxt[j]:
-                        new[i + j] = new[i + j] + out[i] * nxt[j]
-            out = new
-        return out
+    def f(x, y):
+        return x * y - g * x * y * (x + y) - x - y
 
-    for A in range(1, order + 1):
-        for n in range(k + 1):
-            acc = zero
-            for a in range(A):
-                b = A - 1 - a
-                acc = acc + z[n][a] * (z[n + 1][b] + z[n][b] + z[n - 1][b])
-            z[n][A] = sig[n] * acc
-        # conserved quantity fixes z[k+1][A]; with u the unknown the order-A
-        # relation reads u*(rho_k sigma_k - 1) + partial = [g^A] f(R,R)
-        zk, zk1 = z[k], z[k + 1]
-        p1 = conv(zk, zk1)[A]
-        p2 = conv(zk, zk, zk1)[A - 1]
-        p3 = conv(zk, zk1, zk1)[A - 1]
-        partial = p1 - p2 - p3 - zk[A]
-        rhs = fRR[A] - partial
-        z[k + 1][A] = _exact_quotient(rhs, "rho%d" % k, "sigma%d" % k)
-    return {n: TruncSeries("g", z[n]) for n in range(k + 2)}
+    fRR = f(R, R)
+    quotient = _exact_quotient(syms, "rho%d" % k, "sigma%d" % k)
+
+    def eq(z):
+        out = [sig[n] * (rho[n] + g * z[n] * (z[n + 1] + z[n]
+                                               + (z[n - 1] if n else 0)))
+               for n in range(k + 1)]
+        y = z[k + 1]
+        out.append(y + (fRR - f(z[k], y)).map_coeffs(quotient))
+        return tuple(out)
+
+    # Z_{k+1} starts at 1: its order-0 update is zero
+    zs = fixed_point_solve(eq, (0,) * (k + 1) + (1,), order)
+    return dict(enumerate(zs))
 
 
 def weighted_Rn_solve(rho, sigma, order):
@@ -249,26 +237,24 @@ def weighted_Rn_solve(rho, sigma, order):
 
 def quartic_R0_rho_sigma(order):
     """R_0(g | rho, sigma): the unique solution with R_0 = rho + O(g) of
-    the quartic relation obtained by eliminating Z_1, as a series with
-    coefficients polynomial in (rho, sigma)."""
+    the quartic relation F(R_0) = 0 obtained by eliminating Z_1, as a
+    series with coefficients polynomial in (rho, sigma).  Coefficient A of
+    R_0 enters [g^A] F as (1 - rho sigma) R_{0,A}, so R_0 + F(R_0) /
+    (rho sigma - 1) is a triangular update."""
     syms = ("rho", "sigma")
     rho = SymbolPoly.sym(syms, "rho")
     sig = SymbolPoly.sym(syms, "sigma")
-    zero = SymbolPoly.const(syms, 0)
     Rb = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
-    GR = (g * Rb * (1 - g * Rb * Rb)).map_coeffs(
-        lambda c: SymbolPoly.const(syms, c))
-    gS = TruncSeries("g", [zero, SymbolPoly.const(syms, 1)]
-                     + [zero] * (order - 1))
-    coeffs = [rho] + [zero] * order
-    for A in range(1, order + 1):
-        cur = TruncSeries("g", coeffs)
-        F = (cur - rho) * (1 + cur - gS * sig ** 2 * cur * cur - rho) \
-            - sig * cur * (cur - rho + GR) + gS * sig ** 3 * cur ** 3
-        res = F.coeffs[A]
-        coeffs[A] = _exact_quotient(res, "rho", "sigma")
-    return TruncSeries("g", coeffs)
+    GR = g * Rb * (1 - g * Rb * Rb)
+    quotient = _exact_quotient(syms, "rho", "sigma")
+
+    def eq(x):
+        F = (x - rho) * (1 + x - g * sig ** 2 * x * x - rho) \
+            - sig * x * (x - rho + GR) + g * sig ** 3 * x ** 3
+        return x + F.map_coeffs(quotient)
+
+    return fixed_point_solve(eq, rho, order)
 
 
 def integrate_sigma_log(series):

@@ -10,7 +10,9 @@ normalized log ratio against the Gaussian measure,
 
 and the upper limit N is handled symbolically: at each g-order the
 summand is a polynomial in m (checked by stabilization between window
-sizes M and M+1), so the sum is done with Bernoulli/Faulhaber formulas.
+sizes M and M+1).  Its forward differences at m = 1 write it in the
+binomial basis C(m-1, d), where sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2)
+does the sum in one step.
 """
 
 from fractions import Fraction
@@ -18,6 +20,7 @@ from math import comb, factorial
 
 from .series_core import SymbolPoly, TruncSeries
 from .planar_onecut import EvenOnly
+from .wick_fatgraphs import vertex_profiles
 
 NSYM = ("N",)
 NLAU = ("N",)
@@ -69,7 +72,7 @@ def moments_from_potential(couplings, order, top):
     table = []
     for k in range(top + 1):
         coeffs = [_npoly() for _ in range(order + 1)]
-        for profile in _insertion_profiles(valences, order):
+        for profile in vertex_profiles(valences, order):
             n = sum(profile.values())
             m = k + sum(v * c for v, c in profile.items())
             if m % 2:
@@ -81,22 +84,6 @@ def moments_from_potential(couplings, order, top):
             coeffs[n] = coeffs[n] + pref * gauss
         table.append(TruncSeries("g", coeffs))
     return table
-
-
-def _insertion_profiles(valences, budget):
-    out = {}
-
-    def rec(i, left):
-        if i == len(valences):
-            yield dict(out)
-            return
-        for c in range(left + 1):
-            if c:
-                out[valences[i]] = c
-            yield from rec(i + 1, left - c)
-            out.pop(valences[i], None)
-
-    yield from rec(0, budget)
 
 
 def hankel_dets(moments, M):
@@ -185,80 +172,18 @@ def _path_sum(r_window, start, steps, order):
     return total
 
 
-def bernoulli_numbers(top):
-    B = [Fraction(1)]
-    for k in range(1, top + 1):
-        acc = Fraction(0)
-        for i in range(k):
-            acc += comb(k + 1, i) * B[i]
-        B.append(-acc / (k + 1))
-    return B
-
-
-def power_sum_poly(j):
-    """sum_{m=0}^{n-1} m^j as coefficients [n^0 ... n^{j+1}]."""
-    B = bernoulli_numbers(j)
-    out = [Fraction(0)] * (j + 2)
-    for i in range(j + 1):
-        out[j + 1 - i] += Fraction(comb(j + 1, i), j + 1) * B[i]
-    return out
-
-
-def _newton_fit(samples, lo):
-    """Interpolating polynomial through samples[lo..], as monomial coeffs in m.
-
-    samples is a dict m -> SymbolPoly.  Returns the coefficient list; the
-    caller is responsible for checking the fit against held-out samples.
-    """
-    ms = sorted(samples)
-    diffs = [samples[m] for m in ms]
-    # forward differences at base lo (unit spacing)
-    table = [diffs]
-    while len(table[-1]) > 1:
-        prev = table[-1]
-        table.append([prev[i + 1] - prev[i] for i in range(len(prev) - 1)])
-    # Newton form: sum_d delta_d * C(m - lo, d)
-    coeffs = [_npoly()]
-    falling = [Fraction(1)]          # polynomial in m, monomial coeffs
-    for d, row in enumerate(table):
-        delta = row[0]
-        if d:
-            # falling *= (m - lo - (d-1)) / d
-            shifted = [Fraction(0)] + falling
-            const = Fraction(lo + d - 1)
-            falling = [shifted[i] - (falling[i] if i < len(falling) else 0) * const
-                       for i in range(len(shifted))]
-            falling = [c / d for c in falling]
-        while len(coeffs) < len(falling):
-            coeffs.append(_npoly())
-        if isinstance(delta, SymbolPoly) and not delta:
-            continue
-        if not isinstance(delta, SymbolPoly) and delta == 0:
-            continue
-        for i, c in enumerate(falling):
-            coeffs[i] = coeffs[i] + delta * c
-    return coeffs
-
-
-def _poly_eval(coeffs, m):
-    acc = _npoly()
-    p = 1
-    for c in coeffs:
-        acc = acc + c * p
-        p *= m
-    return acc
-
-
 def exact_free_energy_FN(couplings, order, M=None):
     """F_N = log(Z_N(V)/Z_N(V0)) as a series in g, Laurent polynomial in N.
 
-    The summand log(N r_m/m) is interpolated as a polynomial in m and the
-    sum to N-1 is done symbolically; identical results for window sizes M
-    and M+1 are required, otherwise IncreaseM is raised.  Window M is a
-    prefix of window M+1, so both read one set of log ratios.
+    The summand log(N r_m/m) must be a polynomial in m across the window,
+    and its sum to N-1 is done symbolically; identical results for window
+    sizes M and M+1 are required, otherwise IncreaseM is raised.  Window M
+    is a prefix of window M+1, so both read one set of log ratios.
     """
     if M is None:
         M = 2 * order + 6
+    if M < 3:
+        raise ValueError("window M must be >= 3, got %d" % M)
     gamma0, lam = log_ratio_terms(couplings, order, M + 1)
     big = _fixed_window(gamma0, lam, order, M + 1)
     small = _fixed_window(gamma0, lam, order, M)
@@ -268,47 +193,36 @@ def exact_free_energy_FN(couplings, order, M=None):
 
 
 def _fixed_window(gamma0, lam, order, M):
-    """F_N from the summands lam[1..M-1] of window M."""
+    """F_N from the summands lam[1..M-1] of window M.
+
+    At g-order k the summand P(m) counts as a polynomial of degree at most
+    min(2k, M-3) when its higher forward differences at m = 1 vanish.  In
+    the Newton basis P(m) = sum_d Delta^d P(1) C(m-1, d), and
+    sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2) does the sum in one step.
+    """
     coeffs = [_npoly()]
     for k in range(1, order + 1):
-        samples = {}
-        for m in range(1, M):
-            c = lam[m].coeffs[k]
-            samples[m] = c if isinstance(c, SymbolPoly) else _npoly(c)
-        fit_deg = min(2 * k, M - 3)
-        fit = _newton_fit({m: samples[m] for m in range(1, fit_deg + 2)}, 1)
-        for m in range(1, M):
-            if _poly_eval(fit, m) != samples[m]:
-                raise IncreaseM("summand not polynomial across the window")
-        total = _sum_weighted(fit)
-        g0k = gamma0.coeffs[k]
-        if not isinstance(g0k, SymbolPoly):
-            g0k = _npoly(g0k)
-        coeffs.append(total + _N() * g0k)
+        row = [lam[m].coeffs[k] for m in range(1, M)]
+        deltas = []
+        while row:
+            deltas.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        top = min(2 * k, M - 3)
+        if any(deltas[top + 1:]):
+            raise IncreaseM("summand not polynomial across the window")
+        total = _N() * gamma0.coeffs[k]
+        for d, delta in enumerate(deltas[:top + 1]):
+            total = total + delta * _binomial_N(d + 2)
+        coeffs.append(total)
     return TruncSeries("g", coeffs)
 
 
-def _sum_weighted(fit):
-    """sum_{m=1}^{N-1} (N - m) P(m) with N symbolic."""
-    total = _npoly()
-    for j, c in enumerate(fit):
-        if isinstance(c, SymbolPoly) and not c:
-            continue
-        sj = _faulhaber_poly(j)
-        sj1 = _faulhaber_poly(j + 1)
-        total = total + c * (_N() * sj - sj1)
-    # remove the m = 0 term of the closed sums
-    total = total - _N() * fit[0]
-    return total
-
-
-def _faulhaber_poly(j):
-    coeffs = power_sum_poly(j)
-    acc = _npoly()
-    for e, q in enumerate(coeffs):
-        if q:
-            acc = acc + q * _N(e)
-    return acc
+def _binomial_N(j):
+    """C(N, j) = N (N-1) ... (N-j+1) / j! as a polynomial in N."""
+    out = _npoly(Fraction(1, factorial(j)))
+    for i in range(j):
+        out = out * (_N() - i)
+    return out
 
 
 def genus_extract(F):

@@ -2,9 +2,10 @@
 
 Everything is built from Q = d^2 - u.  The square root L = d + sum l_i d^-i
 is solved triangularly from L^2 = Q, one coefficient per step; the KdV
-residues are the d^-1 coefficients of the odd powers L^(2m+1) = L Q^m, and
-the string equations are linear combinations of those residues.  Coefficients live in DiffPoly, a canonical
-polynomial ring in u, u', u'', ... with rational coefficients.
+residues are the d^-1 coefficients of the odd powers L^(2m+1) = L Q^m, all
+read from one square root, and the string equations are linear combinations
+of those residues.  Coefficients live in DiffPoly, a canonical polynomial
+ring in u, u', u'', ... with rational coefficients.
 """
 
 from fractions import Fraction
@@ -270,30 +271,39 @@ def pdo_sqrt_Q(cutoff):
     return L
 
 
-def _L_power(m, depth):
-    """L^(2m+1) = L Q^m, exact down to d^-depth.
+def _odd_powers(m, depth):
+    """[L, L^3, ..., L^(2m+1)] from one square root, L^(2j+1) = L Q^j
+    exact down to d^-depth at least.
 
     Each product by the two-term Q costs 2 of cutoff, and the L^2 check
     inside pdo_sqrt_Q needs a cutoff of at least 1."""
-    P = pdo_sqrt_Q(max(depth, 1) + 2 * m)
+    powers = [pdo_sqrt_Q(max(depth, 1) + 2 * m)]
     Q = Q_operator()
     for _ in range(m):
-        P = pdo_multiply(P, Q)
-    if P.cutoff < depth:
-        raise DeepenCutoff("power lost too much depth")
-    return P
+        powers.append(pdo_multiply(powers[-1], Q))
+    return powers
+
+
+def _L_power(m, depth):
+    """L^(2m+1) = L Q^m, exact down to d^-depth."""
+    return _odd_powers(m, depth)[m]
+
+
+def kdv_residues(m):
+    """[R_1[u], ..., R_{m+1}[u]], the d^-1 coefficients of the odd powers
+    of L, all read from one square root."""
+    return [P.coeff(-1) for P in _odd_powers(m, 1)]
 
 
 def kdv_residue(m):
     """R_{m+1}[u] = coefficient of d^-1 in L^(2m+1)."""
-    return _L_power(m, 1).coeff(-1)
+    return kdv_residues(m)[m]
 
 
 def kdv_recursion_residual(m):
     """R_{m+1}' - (R_m'''/4 - u' R_m / 2 - u R_m'); zero identically."""
     u = DiffPoly.u()
-    Rm = kdv_residue(m - 1)
-    Rn = kdv_residue(m)
+    Rm, Rn = kdv_residues(m)[m - 1:]
     return Rn.derivative() - (Rm.derivative().derivative().derivative() / 4
                               - u.derivative() * Rm / 2 - u * Rm.derivative())
 
@@ -314,9 +324,9 @@ class StringEqn:
 def string_equation(m, eqn):
     """Left side of 2 sum_j mu_j R_j[u] = y as a DiffPoly."""
     total = DiffPoly()
-    for j in range(1, m + 2):
-        if eqn.mu[j - 1]:
-            total = total + 2 * eqn.mu[j - 1] * kdv_residue(j - 1)
+    for j, R in enumerate(kdv_residues(m)):
+        if eqn.mu[j]:
+            total = total + 2 * eqn.mu[j] * R
     return total
 
 

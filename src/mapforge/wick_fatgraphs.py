@@ -53,6 +53,8 @@ class CombinatorialMap:
                 raise MalformedMap("not permutations")
         if not involution or any(map(eq, alpha, darts)):
             raise MalformedMap("alpha is not a fixed-point-free involution")
+        if root is not None and root not in darts:
+            raise MalformedMap("root is not a dart")
 
     @property
     def n_darts(self):
@@ -210,28 +212,25 @@ def catalan(p):
     return factorial(2 * p) // (factorial(p) ** 2 * (p + 1))
 
 
-def _profiles(valences, max_vertices, insert_limits):
-    """All vertex multiplicity assignments within the g-order budget.
+def vertex_profiles(valences, budget):
+    """All vertex multiplicity assignments with at most budget vertices.
 
-    valences: list of (valence, counts_toward_g) in fixed order; valences
-    not counting toward g are bounded by insert_limits instead.
-    Yields dicts valence -> multiplicity (zero entries omitted).
+    Yields dicts valence -> multiplicity (zero entries omitted), the
+    multiplicity of valences[0] varying slowest.
     """
     out = {}
 
-    def rec(i, g_left):
+    def rec(i, left):
         if i == len(valences):
             yield dict(out)
             return
-        valence, counted = valences[i]
-        limit = g_left if counted else insert_limits[valence]
-        for m in range(limit + 1):
-            if m:
-                out[valence] = m
-            yield from rec(i + 1, g_left - m if counted else g_left)
-            out.pop(valence, None)
+        for c in range(left + 1):
+            if c:
+                out[valences[i]] = c
+            yield from rec(i + 1, left - c)
+            out.pop(valences[i], None)
 
-    yield from rec(0, max_vertices)
+    yield from rec(0, budget)
 
 
 def partition_series_Z(weights, order, cap=DEFAULT_CAP,
@@ -243,16 +242,15 @@ def partition_series_Z(weights, order, cap=DEFAULT_CAP,
     power of the counting variable g and the prefactor
     (N g_i)^{n_i} / (i^{n_i} n_i!).
     """
-    counted = sorted(v for v in weights if weights[v] != 0)
-    worst = order * max(counted, default=0)
+    valences = sorted(v for v in weights if weights[v] != 0)
+    worst = order * max(valences, default=0)
     if worst > cap:
         raise TooLarge("order %d needs up to %d half-edges, cap is %d"
                        % (order, worst, cap))
-    vlist = [(v, True) for v in counted]
     one = SymbolPoly.const(symbols, 1, laurent)
     N = SymbolPoly.sym(symbols, "N", laurent)
     coeffs = [SymbolPoly.const(symbols, 0, laurent) for _ in range(order + 1)]
-    for profile in _profiles(vlist, order, {}):
+    for profile in vertex_profiles(valences, order):
         n_darts = sum(v * m for v, m in profile.items())
         if n_darts % 2:
             continue

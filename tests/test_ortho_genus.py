@@ -84,6 +84,45 @@ def test_free_energy_window_stabilisation():
         exact_free_energy_FN({4: F(1)}, 3)
 
 
+@pytest.mark.parametrize("M", [-1, 0, 1, 2])
+def test_free_energy_refuses_windows_below_3(M):
+    with pytest.raises(ValueError, match="window M must be >= 3"):
+        exact_free_energy_FN({4: F(1)}, 2, M=M)
+
+
+def _window_inputs(summands, gamma0, M):
+    """gamma0 and lam[1..M-1] whose g-order k coefficients are gamma0[k]
+    and summands[k](m)."""
+    lam = [None] + [TruncSeries("g", [_npoly()] + [P(m) for P in summands])
+                    for m in range(1, M)]
+    return TruncSeries("g", [_npoly()] + gamma0), lam
+
+
+def test_window_sum_matches_direct_summation():
+    # order-k summands of degree 2k with N-dependent coefficients
+    a = [[3 * _N(-1), _N(2) - 1, F(1, 2) * _N()],
+         [_N(), F(-2, 3), 5 * _N(-2), _npoly(1), F(1, 7) * _N(2)]]
+    summands = [lambda m, c=c: sum((x * m ** j for j, x in enumerate(c)),
+                                   _npoly()) for c in a]
+    gamma0 = [7 * _N(-2), F(2, 3) * _N()]
+    M = 9
+    F_N = ortho_genus._fixed_window(*_window_inputs(summands, gamma0, M),
+                                    2, M)
+    for n in range(1, 11):
+        for k, P in enumerate(summands, 1):
+            direct = n * gamma0[k - 1].subs(N=n) + sum(
+                (n - m) * P(m).subs(N=n) for m in range(1, n))
+            assert F_N.coeffs[k].subs(N=n) == direct
+
+
+def test_window_sum_refuses_a_summand_above_its_degree():
+    # degree 3 at g-order 1, where at most 2 is allowed
+    summands = [lambda m: _N() * m ** 3]
+    with pytest.raises(IncreaseM):
+        ortho_genus._fixed_window(*_window_inputs(summands, [_npoly()], 9),
+                                  1, 9)
+
+
 def test_string_recursion_quartic_and_sextic():
     for coup in ({4: F(1)}, {6: F(1)}, {4: F(1, 2), 6: F(1, 3)}):
         h, r = hankel_norms(coup, 3, 12)

@@ -66,6 +66,28 @@ def test_kdv_residues():
         assert kdv_recursion_residual(m).is_zero()
 
 
+def test_one_square_root_per_report(monkeypatch, capsys):
+    from mapforge import string_eq
+    from mapforge.cli import main
+    calls = []
+    inner = string_eq.pdo_sqrt_Q
+
+    def counted(cutoff):
+        calls.append(cutoff)
+        return inner(cutoff)
+
+    monkeypatch.setattr(string_eq, "pdo_sqrt_Q", counted)
+    string_equation(4, StringEqn(4, [1, 2, 3, 4, 5]))
+    assert len(calls) == 1
+    kdv_recursion_residual(3)
+    assert len(calls) == 2
+    calls.clear()
+    assert main(["stringeq", "--m", "5"]) == 0
+    capsys.readouterr()
+    # one for the residues R_1..R_6, one for the commutator
+    assert len(calls) == 2
+
+
 def test_odd_powers_have_no_d0_tail():
     from mapforge.string_eq import _L_power
     for m in (1, 2, 3):

@@ -33,6 +33,16 @@ def test_malformed_maps(sigma, alpha, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("root", [-1, 4])
+def test_malformed_roots(root):
+    # a root outside range(n_darts) is refused; a negative one would send
+    # the BFS of distance_profile round its root vertex forever
+    with pytest.raises(MalformedMap) as err:
+        CombinatorialMap([1, 0, 3, 2], [2, 3, 0, 1], root)
+    assert str(err.value) == "root is not a dart"
+    assert CombinatorialMap([1, 0, 3, 2], [2, 3, 0, 1], 3).root == 3
+
+
 def test_pairing_counts():
     assert len(list(enumerate_pairings({2: 1}))) == 1
     assert len(list(enumerate_pairings({4: 1}))) == 3
