@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import cos, pi, sin, sqrt
 import random
 
-import numpy as np
-
 from .geodesic import DomainError, exact_Rn_quartic
 
 
@@ -138,22 +136,27 @@ def extinction_exact(n, p):
 
 def newton_bounded_Rn(L, g, tol=1e-13):
     """R_0..R_L solving R_n = 1 + g R_n (R_{n+1} + R_n + R_{n-1}) with
-    R_{-1} = R_{L+1} = 0, by Newton iteration."""
-    x = np.ones(L + 1)
+    R_{-1} = R_{L+1} = 0, by Newton iteration.  The Jacobian is
+    tridiagonal, with -g R_n beside the diagonal of row n, so each step is
+    one Thomas sweep."""
+    x = [1.0] * (L + 1)
     for _ in range(100):
-        lo = np.concatenate(([0.0], x[:-1]))
-        hi = np.concatenate((x[1:], [0.0]))
-        F = x - 1 - g * x * (hi + x + lo)
-        if np.max(np.abs(F)) < tol:
-            return list(x)
-        J = np.zeros((L + 1, L + 1))
+        lo = [0.0] + x[:-1]
+        hi = x[1:] + [0.0]
+        F = [r - 1 - g * r * (h + r + d) for r, h, d in zip(x, hi, lo)]
+        if max(map(abs, F)) < tol:
+            return x
+        # elimination leaves row n as step_n + up[n+1] step_{n+1} = rhs[n+1]
+        up, rhs = [0.0], [0.0]
         for n in range(L + 1):
-            J[n, n] = 1 - g * (hi[n] + 2 * x[n] + lo[n])
-            if n > 0:
-                J[n, n - 1] = -g * x[n]
-            if n < L:
-                J[n, n + 1] = -g * x[n]
-        x = x - np.linalg.solve(J, F)
+            side = -g * x[n]
+            pivot = 1 - g * (hi[n] + 2 * x[n] + lo[n]) - side * up[-1]
+            rhs.append((F[n] - side * rhs[-1]) / pivot)
+            up.append(side / pivot)
+        step = 0.0
+        for n in range(L, -1, -1):
+            step = rhs[n + 1] - up[n + 1] * step
+            x[n] -= step
     raise OutOfRange("Newton iteration did not converge")
 
 
@@ -266,6 +269,7 @@ class WeierstrassProfile:
     third invariant is fixed by the half-period condition."""
 
     def __init__(self, lam):
+        import numpy as np
         from scipy.optimize import brentq
         from scipy.special import ellipk
         self.lam = lam

@@ -5,8 +5,9 @@ Q|n> = |n+1> + S_n|n> + R_n|n-1> with vanishing negative indices; the
 recursion R_n = 1 + sum_i g g_i <n-1|Q^{i-1}|n> (plus <n|V'(Q)|n> = 0
 fixing S_n when odd valences are present) is solved on a finite window
 whose tail is seeded with the translation-invariant bulk solution.
-Pure-quartic queries read one memoised integer table instead
-(quartic_coeff_table).
+Pure-quartic full series read one memoised integer table instead
+(quartic_coeff_table); single fixed-area coefficients come from Lagrange
+inversion of the closed form (_quartic_area_terms).
 """
 
 from fractions import Fraction
@@ -204,12 +205,76 @@ def quartic_coeff_table(n_max, A):
             for n in range(n_max + 1)}
 
 
+def _int_product(a, b, N):
+    """Coefficients 0..N of the product of two int coefficient lists."""
+    out = [0] * (N + 1)
+    for i, p in enumerate(a[:N + 1]):
+        if p:
+            for j, q in enumerate(b[:N + 1 - i]):
+                out[i + j] += p * q
+    return out
+
+
+@lru_cache(maxsize=256)
+def _quartic_area_terms(n, A):
+    """(A [g^A] R_n, A [g^A] log R_n) of the pure quartic, as ints.
+
+    The closed form (Bouttier, Di Francesco, Guitter 2003) is R_n = R T_n
+    in the characteristic root x, with R = Y4/Y1, Y4 = 1+4x+x^2,
+    Y1 = 1+x+x^2, T_n = (1-x^{n+1})(1-x^{n+4}) / ((1-x^{n+2})(1-x^{n+3})),
+    and x = g phi(x) with phi = Y4^2/Y1.  Lagrange inversion gives
+    [g^A] H = [x^A] H phi^A (1 - x phi'/phi) and
+    A [g^A] H = [x^{A-1}] H' phi^A, and every series they need is
+    s = Y4^(2A-1) Y1^(-A-2) times a small polynomial:
+      R phi^A (1 - x phi'/phi) = Y4 (1-x)^3 (1+x) s,
+      (log R)' phi^A = 3 (1-x^2) Y1 s,  phi^A = Y4 Y1^2 s,
+    while (log(1-x^m))' = -m sum_{k>=1} x^{mk-1}.  So each answer is a dot
+    product of s with an int kernel.  s solves P s' = ((2A-1) U - (A+2) W) s
+    with P = Y4 Y1, U = Y4' Y1 and W = Y1' Y4, so each coefficient follows
+    from the previous four and divides exactly by its index."""
+    if n < 0 or A < 0:
+        raise DomainError("distance and area must be >= 0")
+    # T_n from T_n (1-x^{n+2})(1-x^{n+3}) = (1-x^{n+1})(1-x^{n+4})
+    T = [0] * (A + 1)
+    for j in range(A + 1):
+        t = (j == 0) - (j == n + 1) - (j == n + 4) + (j == 2 * n + 5)
+        for d, sign in ((n + 2, 1), (n + 3, 1), (2 * n + 5, -1)):
+            if j >= d:
+                t += sign * T[j - d]
+        T[j] = t
+    Y4, Y1 = [1, 4, 1], [1, 1, 1]
+    # [g^A] R_n = [x^A] kR s
+    kR = _int_product(_int_product(Y4, [1, -2, 0, 2, -1], 6), T, A)
+    # A [g^A] log R_n = [x^A] kL s, kL = Y4 Y1^2 c + 3x (1-x^2) Y1, where
+    # c_{mk} collects -m from each log(1-x^m) term of log T_n
+    c = [0] * (A + 1)
+    for m, sign in ((n + 1, 1), (n + 4, 1), (n + 2, -1), (n + 3, -1)):
+        for i in range(m, A + 1, m):
+            c[i] -= sign * m
+    kL = _int_product(_int_product(Y4, _int_product(Y1, Y1, 4), 6), c, A)
+    for i, q in ((1, 3), (2, 3), (4, -3), (5, -3)):
+        if i <= A:
+            kL[i] += q
+    # (j+1) s_{j+1} = sum_i (q_i - P_{i+1} (j-i)) s_{j-i}, i = 0..3, with
+    # q the coefficients of (2A-1) U - (A+2) W and P = 1+5x+6x^2+5x^3+x^4
+    q0, q1, q2, q3 = 7 * A - 6, 6 * A - 18, 3 * A - 24, 2 * A - 6
+    s0, s1, s2, s3 = 1, 0, 0, 0  # s_j .. s_{j-3}
+    termR = termL = 0
+    for j in range(A + 1):
+        termR += s0 * kR[A - j]
+        termL += s0 * kL[A - j]
+        t = ((q0 - 5 * j) * s0 + (q1 - 6 * (j - 1)) * s1
+             + (q2 - 5 * (j - 2)) * s2 + (q3 - (j - 3)) * s3)
+        s0, s1, s2, s3 = t // (j + 1), s0, s1, s2
+    return A * termR, termL
+
+
 def fixed_area_ratio(n, A):
     """B_n(A) = [g^A]R_n / [g^A]R_0 for 4-valent graphs of area A."""
     if A < 1:
         raise DomainError("area must be >= 1")
-    rows = _quartic_rows(n, A)
-    return Fraction(rows[n][A], rows[0][A])
+    return Fraction(_quartic_area_terms(n, A)[0],
+                    _quartic_area_terms(0, A)[0])
 
 
 def bn_infinity(n):

@@ -1,8 +1,10 @@
 """Distance profiles and local-environment statistics of quadrangulations.
 
-Finite-area averages are exact rationals built from the distance-refined
-series R_n; the infinite-area limits are the closed forms obtained from
-the cubic relation for the local-environment generating function Gamma.
+Finite-area averages are exact rationals at every area, built from the
+single coefficients [g^A] R_n and [g^A] log R_n of the distance-refined
+series (geodesic._quartic_area_terms, by Lagrange inversion); the
+infinite-area limits are the closed forms obtained from the cubic
+relation for the local-environment generating function Gamma.
 Averages refer to the vertex-origin ensemble: a quadrangulation weighted
 by 1/|Aut| with a uniformly marked origin vertex, equivalently uniform
 rooted quadrangulations with the root start as origin reweighted by
@@ -11,12 +13,11 @@ rooted quadrangulations with the root start as origin reweighted by
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, sqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import unit_quartic_solution
-from .geodesic import quartic_coeff_table
+from .geodesic import _quartic_area_terms
 from .bijections import (_free_contour, _rng, distance_profile,
                          sample_quadrangulation_uniform)
 
@@ -34,9 +35,9 @@ def edges_at_distance(n, A):
     quadrangulations seen from their origin; exact rational."""
     if A < 1:
         raise ValueError("area must be >= 1")
-    table = quartic_coeff_table(n, A)
-    Rn1A = table[n - 1][A] if n >= 1 else 0
-    return Fraction(4 * A, A + 2) * (table[n][A] - Rn1A) / table[0][A]
+    below = _quartic_area_terms(n - 1, A)[0] if n >= 1 else 0
+    return Fraction(4 * A, A + 2) * Fraction(
+        _quartic_area_terms(n, A)[0] - below, _quartic_area_terms(0, A)[0])
 
 
 def edges_at_distance_asymptotic(n):
@@ -46,29 +47,22 @@ def edges_at_distance_asymptotic(n):
     return Fraction(6, 35) * Fraction(num, (n + 1) * (n + 2) * (n + 3))
 
 
-def vertex_layer_series(n, order):
-    """Generating function V_n of quadrangulations with an origin and a
-    marked vertex at distance n: log(R_{n-1}/R_{n-2}), log R_0 for n=1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    R = [TruncSeries("g", row)
-         for row in quartic_coeff_table(n - 1, order).values()]
-    if n == 1:
-        return R[0].log()
-    return (R[n - 1] / R[n - 2]).log()
-
-
 def vertices_at_distance(n, A):
     """Average number of vertices at distance n in area-A quadrangulations
-    seen from their origin; exact rational."""
+    seen from their origin; exact rational.
+
+    Quadrangulations with an origin and a marked vertex at distance n are
+    counted by log(R_{n-1}/R_{n-2}) (log R_0 for n = 1), and pointed ones at
+    area A by (A+2) [g^A] R_0 / (4A)."""
     if A < 1:
         raise ValueError("area must be >= 1")
     if n == 0:
         return Fraction(1)
-    Vn = vertex_layer_series(n, A).coeffs[A]
-    R0A = quartic_coeff_table(0, A)[0][A]
-    # the pointed-quadrangulation count at area A is (A+2) R_{0,A} / (4A)
-    return Fraction(4 * A, A + 2) * Vn / R0A
+    layer = _quartic_area_terms(n - 1, A)[1]
+    if n >= 2:
+        layer -= _quartic_area_terms(n - 2, A)[1]
+    return Fraction(4 * A, A + 2) * Fraction(
+        layer, _quartic_area_terms(0, A)[0])
 
 
 def vertices_at_distance_asymptotic(n):
@@ -78,72 +72,9 @@ def vertices_at_distance_asymptotic(n):
     return Fraction(3, 35) * ((n + 1) * (5 * n * n + 10 * n + 2) + extra)
 
 
-@lru_cache(maxsize=4)
-def _large_area_profile(A, n_max):
-    """Float <v_n>_A for n = 0..n_max from the closed form of R_n.
-
-    Series are carried in the rescaled variable h = 12g so coefficients
-    stay bounded; the rescaling cancels in the coefficient ratios."""
-    import numpy as np
-    N = A + 1
-
-    def mul(a, b):
-        return np.convolve(a, b)[:N]
-
-    def div(a, b):
-        q = np.zeros(N)
-        for k in range(N):
-            q[k] = (a[k] - np.dot(b[1:k + 1], q[k - 1::-1][:k])) / b[0]
-        return q
-
-    def log_series(s):
-        t = div(np.arange(N) * s, s)
-        out = np.zeros(N)
-        out[1:] = t[1:] / np.arange(1, N)
-        return out
-
-    one = np.zeros(N)
-    one[0] = 1.0
-    # R = 1 + (1/4) h R^2
-    r = np.zeros(N)
-    r[0] = 1.0
-    for k in range(1, N):
-        r[k] = 0.25 * np.dot(r[:k], r[k - 1::-1])
-    # x = (h/12) R (1 + 4x + x^2), order by order
-    x = np.zeros(N)
-    P = np.zeros(N)
-    P[0] = 1.0
-    for k in range(1, N):
-        j = k - 1
-        if j > 0:
-            P[j] = 4.0 * x[j] + (np.dot(x[1:j], x[j - 1:0:-1]) if j >= 2
-                                 else 0.0)
-        x[k] = np.dot(r[:k], P[k - 1::-1]) / 12.0
-    xp = {0: one}
-    for j in range(1, n_max + 4):
-        xp[j] = mul(xp[j - 1], x)
-
-    def Rn(n):
-        num = mul(one - xp[n + 1], one - xp[n + 4])
-        den = mul(one - xp[n + 2], one - xp[n + 3])
-        return mul(r, div(num, den))
-
-    logs = [log_series(Rn(n)) for n in range(n_max)]
-    R0A = Rn(0)[A]
-    pref = 4.0 * A / (A + 2)
-    out = [1.0]
-    for n in range(1, n_max + 1):
-        Vn = logs[0] if n == 1 else logs[n - 1] - logs[n - 2]
-        out.append(pref * Vn[A] / R0A)
-    return tuple(out)
-
-
 def vertices_at_distance_numeric(n, A):
-    """Float evaluation of vertices_at_distance for areas far beyond what
-    exact rational series can reach."""
-    if A < 1:
-        raise ValueError("area must be >= 1")
-    return _large_area_profile(A, max(n, 5))[n]
+    """vertices_at_distance as a float."""
+    return float(vertices_at_distance(n, A))
 
 
 # ---------------------------------------------------------------------------

@@ -54,11 +54,6 @@ class OneCutSolution:
         self.R = R
         self.S = S
 
-    def endpoints(self, g):
-        r = self.R.eval_float(g)
-        s = self.S.eval_float(g)
-        return s - 2.0 * fsqrt(r), s + 2.0 * fsqrt(r)
-
 
 def _laurent_coeff_of_power(k, m, S, R):
     """Coefficient of w^m in (w + S + R/w)^k, S and R series."""

@@ -434,13 +434,6 @@ class TruncSeries:
     def map_coeffs(self, f):
         return TruncSeries(self.var, [f(c) for c in self.coeffs])
 
-    def eval_float(self, x):
-        """Horner evaluation with float conversion at the boundary."""
-        total = 0.0
-        for c in reversed(self.coeffs):
-            total = total * x + float(c)
-        return total
-
     def to_strings(self):
         out = []
         for c in self.coeffs:

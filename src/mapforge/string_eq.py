@@ -9,6 +9,7 @@ ring in u, u', u'', ... with rational coefficients.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 INF = 10 ** 9
@@ -271,17 +272,20 @@ def pdo_sqrt_Q(cutoff):
     return L
 
 
+@lru_cache(maxsize=None)
 def _odd_powers(m, depth):
-    """[L, L^3, ..., L^(2m+1)] from one square root, L^(2j+1) = L Q^j
+    """(L, L^3, ..., L^(2m+1)) from one square root, L^(2j+1) = L Q^j
     exact down to d^-depth at least.
 
     Each product by the two-term Q costs 2 of cutoff, and the L^2 check
-    inside pdo_sqrt_Q needs a cutoff of at least 1."""
+    inside pdo_sqrt_Q needs a cutoff of at least 1.  Built once per
+    (m, depth) and shared, so a residue report and its commutator check
+    read the same ladder: callers must not mutate it."""
     powers = [pdo_sqrt_Q(max(depth, 1) + 2 * m)]
     Q = Q_operator()
     for _ in range(m):
         powers.append(pdo_multiply(powers[-1], Q))
-    return powers
+    return tuple(powers)
 
 
 def _L_power(m, depth):

@@ -53,7 +53,8 @@ class CombinatorialMap:
                 raise MalformedMap("not permutations")
         if not involution or any(map(eq, alpha, darts)):
             raise MalformedMap("alpha is not a fixed-point-free involution")
-        if root is not None and root not in darts:
+        if root is not None and (not isinstance(root, int)
+                                 or root not in darts):
             raise MalformedMap("root is not a dart")
 
     @property

@@ -213,15 +213,25 @@ def test_geodesic_g4_matches_window_solver(capsys, g4):
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _loaded_by_cli_import(module):
+    """What a fresh interpreter prints for `module in sys.modules` after
+    `import mapforge.cli`."""
     src = os.path.dirname(os.path.dirname(mapforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, mapforge.cli; print('scipy' in sys.modules)"],
+         "import sys, mapforge.cli; print(%r in sys.modules)" % module],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _loaded_by_cli_import("scipy") == "False\n"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _loaded_by_cli_import("numpy") == "False\n"
 
 
 def test_metadata_echoes_parameters(capsys):

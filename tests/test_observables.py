@@ -5,7 +5,8 @@ import pytest
 
 from mapforge.series_core import SymbolPoly, TruncSeries
 from mapforge.planar_onecut import Potential, solve_one_cut
-from mapforge.geodesic import solve_Rn_series
+from mapforge.geodesic import (fixed_area_ratio, quartic_coeff_table,
+                               solve_Rn_series)
 from mapforge.bijections import enumerate_well_labeled
 from mapforge.observables import (
     BranchError, IntegrationObstruction, edges_at_distance,
@@ -220,12 +221,24 @@ def test_simple_neighbor_pgf():
 
 
 def test_numeric_large_area_route_matches_exact():
-    for A in (12, 25):
-        for n in (1, 2, 3, 4):
-            assert vertices_at_distance_numeric(n, A) == pytest.approx(
-                float(vertices_at_distance(n, A)), rel=1e-12)
-    # far beyond exact reach the values approach the asymptotic formula
-    # from below
+    # oracle: the integer table of R_n and TruncSeries.log, against the
+    # single coefficients that Lagrange inversion reads
+    A_max = 120
+    table = quartic_coeff_table(6, A_max)
+    R = [TruncSeries("g", table[n]) for n in range(7)]
+    layers = [R[0].log()] + [(R[n] / R[n - 1]).log() for n in range(1, 6)]
+    for A in range(1, A_max + 1):
+        per_pointed = F(4 * A, A + 2) / table[0][A]
+        for n in range(7):
+            below = table[n - 1][A] if n else 0
+            pairs = [
+                (fixed_area_ratio(n, A), table[n][A] / table[0][A]),
+                (edges_at_distance(n, A), per_pointed * (table[n][A] - below)),
+                (vertices_at_distance(n, A),
+                 per_pointed * layers[n - 1].coeffs[A] if n else F(1))]
+            for got, want in pairs:
+                assert type(got) is F and got == want
+    # the values approach the asymptotic formula from below
     for n in (1, 2):
         lo = vertices_at_distance_numeric(n, 4000)
         hi = float(vertices_at_distance_asymptotic(n))

@@ -28,6 +28,8 @@ def test_geometric_series():
 def test_square_by_hand():
     sq = S([1, 3, 18]) ** 2
     assert sq.coeffs == [1, 6, 45]
+    # a negative power inverts first
+    assert S([1, 3, 18]) ** -2 * sq == 1
 
 
 def test_min_order_truncation():

@@ -33,10 +33,11 @@ def test_malformed_maps(sigma, alpha, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("root", [-1, 4])
+@pytest.mark.parametrize("root", [-1, 4, 1.0])
 def test_malformed_roots(root):
     # a root outside range(n_darts) is refused; a negative one would send
-    # the BFS of distance_profile round its root vertex forever
+    # the BFS of distance_profile round its root vertex forever, and a
+    # float one cannot index its dart lists
     with pytest.raises(MalformedMap) as err:
         CombinatorialMap([1, 0, 3, 2], [2, 3, 0, 1], root)
     assert str(err.value) == "root is not a dart"
