@@ -21,13 +21,9 @@ import random
 from itertools import accumulate, combinations, product
 from operator import eq
 
-from .wick_fatgraphs import CombinatorialMap
+from .wick_fatgraphs import CombinatorialMap, TooLarge
 
 TREE_CAP = 8
-
-
-class TooLarge(ValueError):
-    pass
 
 
 class NotBlossom(ValueError):

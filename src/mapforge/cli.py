@@ -66,8 +66,11 @@ def _parse_weights(tokens):
         m = re.fullmatch(r"g(\d+)=(.+)", tok)
         if not m:
             raise BadParameter("weight '%s' is not of the form gK=value" % tok)
+        valence = int(m.group(1))
+        if valence < 1:
+            raise BadParameter("valence in weight '%s' must be >= 1" % tok)
         try:
-            out[int(m.group(1))] = rat_parse(m.group(2))
+            out[valence] = rat_parse(m.group(2))
         except (ValueError, ZeroDivisionError):
             raise BadParameter("bad rational '%s' in weight" % m.group(2))
     if not out:
@@ -152,6 +155,8 @@ def _write_report(args, results, header, rows):
 
 def _cmd_oracle(args):
     weights = _parse_weights(args.weights)
+    if args.order < 0:
+        raise BadParameter("order must be >= 0")
     F = connected_free_energy_F(weights, args.order)
     results = {}
     rows = []

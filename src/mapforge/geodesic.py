@@ -4,7 +4,8 @@ The transfer operator Q acts on a formal orthonormal basis by
 Q|n> = |n+1> + S_n|n> + R_n|n-1> with vanishing negative indices; the
 recursion R_n = 1 + sum_i g g_i <n-1|Q^{i-1}|n> (plus <n|V'(Q)|n> = 0
 fixing S_n when odd valences are present) is solved on a finite window
-whose tail is seeded with the translation-invariant bulk solution.
+whose tail is seeded with the translation-invariant bulk solution.  Each
+matrix element is planar_onecut.path_sum with a wall below height 0.
 Pure-quartic full series read one memoised integer table instead
 (quartic_coeff_table); single fixed-area coefficients come from Lagrange
 inversion of the closed form (_quartic_area_terms).
@@ -17,7 +18,7 @@ from math import cosh, sinh, sqrt as fsqrt
 from operator import mul
 
 from .series_core import TruncSeries, fixed_point_solve
-from .planar_onecut import (OutOfOneCut, Potential, solve_one_cut,
+from .planar_onecut import (OutOfOneCut, Potential, path_sum, solve_one_cut,
                             unit_quartic_solution)
 
 
@@ -28,43 +29,11 @@ class DomainError(ValueError):
 class GeodesicSeries:
     """Window of R_n (and S_n) series, n = 0..n_max."""
 
-    __slots__ = ("R", "S", "order", "n_max", "b", "bulk_R", "bulk_S")
+    __slots__ = ("R", "S")
 
-    def __init__(self, R, S, order, n_max, b, bulk_R, bulk_S):
+    def __init__(self, R, S):
         self.R = R
         self.S = S
-        self.order = order
-        self.n_max = n_max
-        self.b = b
-        self.bulk_R = bulk_R
-        self.bulk_S = bulk_S
-
-
-def _bracket(Rw, Sw, n_from, n_to, steps, order):
-    """<n_to| Q^steps |n_from> via weighted height paths."""
-    zero = TruncSeries.const("g", 0, order)
-    one = TruncSeries.const("g", 1, order)
-    memo = {}
-
-    def rec(h, left):
-        if left == 0:
-            return one if h == n_to else zero
-        if abs(h - n_to) > left:
-            return zero
-        key = (h, left)
-        if key in memo:
-            return memo[key]
-        out = rec(h + 1, left - 1)
-        s = Sw(h)
-        if s is not None:
-            out = out + s * rec(h, left - 1)
-        r = Rw(h)
-        if r is not None:
-            out = out + r * rec(h - 1, left - 1)
-        memo[key] = out
-        return out
-
-    return rec(n_from, steps)
 
 
 def solve_Rn_series(weights, n_max, order):
@@ -75,40 +44,41 @@ def solve_Rn_series(weights, n_max, order):
     V = Potential(weights)
     sol = solve_one_cut(V, order)
     even = V.is_even()
-    b = max(V.degree() // 2 - 1, 1)
     top = n_max + order + 1
     g = TruncSeries.gen("g", order)
 
     def equation(X):
         R, S = X[:top + 1], X[top + 1:]
 
-        def Rw(h):
+        def down(h):
             if h < 0:
                 return None
             return R[h] if h <= top else sol.R
 
-        def Sw(h):
-            if even or h < 0:
+        def level(h):
+            if h < 0:
                 return None
-            s = S[h] if h <= top else sol.S
-            return s if not s.is_zero() else None
+            return S[h] if h <= top else sol.S
 
+        if even:
+            level = None
         newR, newS = [], []
         for n in range(top + 1):
             acc = 1
             sacc = 0
             for v, gv in V.couplings.items():
-                acc = acc + g * gv * _bracket(Rw, Sw, n, n - 1, v - 1, order)
+                acc = acc + g * gv * path_sum(down, level, n, n - 1, v - 1,
+                                              order)
                 if not even:
-                    sacc = sacc + g * gv * _bracket(Rw, Sw, n, n, v - 1, order)
+                    sacc = sacc + g * gv * path_sum(down, level, n, n, v - 1,
+                                                    order)
             newR.append(acc)
             newS.append(sacc)
         return newR + newS
 
     X = fixed_point_solve(equation, (1,) * (top + 1) + (0,) * (top + 1), order)
-    keepR = {n: X[n] for n in range(n_max + 1)}
-    keepS = {n: X[top + 1 + n] for n in range(n_max + 1)}
-    return GeodesicSeries(keepR, keepS, order, n_max, b, sol.R, sol.S)
+    return GeodesicSeries({n: X[n] for n in range(n_max + 1)},
+                          {n: X[top + 1 + n] for n in range(n_max + 1)})
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from math import comb, sqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import unit_quartic_solution
-from .geodesic import _quartic_area_terms
+from .geodesic import _quartic_area_terms, integral_of_motion
 from .bijections import (_free_contour, _rng, distance_profile,
                          sample_quadrangulation_uniform)
 
@@ -117,7 +117,7 @@ def weighted_Zn_solve(k, order):
 
     One triangular system: Z_n = sigma_n (rho_n + g Z_n (Z_{n+1} + Z_n +
     Z_{n-1})) for n <= k, and Z_{k+1} is fixed by the conserved quantity
-    f(Z_k, Z_{k+1}) = f(R, R), f(x, y) = xy - g x y (x + y) - x - y.  Its
+    f(Z_k, Z_{k+1}) = f(R, R), f = geodesic.integral_of_motion.  Its
     coefficient A enters [g^A] f as (rho_k sigma_k - 1) Z_{k+1,A}, so
     Y + (f(R, R) - f(Z_k, Y)) / (rho_k sigma_k - 1) updates it."""
     syms = tuple("rho%d" % p for p in range(k + 1)) \
@@ -126,11 +126,7 @@ def weighted_Zn_solve(k, order):
     sig = [SymbolPoly.sym(syms, "sigma%d" % p) for p in range(k + 1)]
     R = unit_quartic_solution(order).R
     g = TruncSeries.gen("g", order)
-
-    def f(x, y):
-        return x * y - g * x * y * (x + y) - x - y
-
-    fRR = f(R, R)
+    fRR = integral_of_motion((R, R), g)
     quotient = _exact_quotient(syms, "rho%d" % k, "sigma%d" % k)
 
     def eq(z):
@@ -138,7 +134,8 @@ def weighted_Zn_solve(k, order):
                                                + (z[n - 1] if n else 0)))
                for n in range(k + 1)]
         y = z[k + 1]
-        out.append(y + (fRR - f(z[k], y)).map_coeffs(quotient))
+        out.append(y + (fRR - integral_of_motion((z[k], y), g))
+                   .map_coeffs(quotient))
         return tuple(out)
 
     # Z_{k+1} starts at 1: its order-0 update is zero

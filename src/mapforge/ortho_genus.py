@@ -12,14 +12,17 @@ and the upper limit N is handled symbolically: at each g-order the
 summand is a polynomial in m (checked by stabilization between window
 sizes M and M+1).  Its forward differences at m = 1 write it in the
 binomial basis C(m-1, d), where sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2)
-does the sum in one step.
+does the sum in one step.  The ratios r_m solve the string equation
+m/N = <m-1|V'(Q)|m>, Q carrying weight r_p per down step from height p
+and a wall at 0; string_recursion_residual checks it through
+planar_onecut.path_sum.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
 from .series_core import SymbolPoly, TruncSeries
-from .planar_onecut import EvenOnly
+from .planar_onecut import EvenOnly, Potential, path_sum, solve_one_cut
 from .wick_fatgraphs import vertex_profiles
 
 NSYM = ("N",)
@@ -138,38 +141,22 @@ def log_ratio_terms(couplings, order, M):
 
 
 def string_recursion_residual(couplings, r_window, m):
-    """m/N minus the V'(Q) path sum from m to m-1; zero for true solutions.
+    """m/N minus <m-1|V'(Q)|m>; zero for true solutions.
 
-    r_window maps index -> series; paths live on the non-negative integers
-    with weight r_p per down step from height p.
+    r_window maps index -> series; the path_sum walk has a wall at 0 and
+    weight r_p per down step from height p.
     """
     order = r_window[m].order
     g = TruncSeries.gen("g", order)
-    acc = _path_sum(r_window, m, 1, order)
+
+    def down(h):
+        return r_window[h] if h > 0 else None
+
+    acc = path_sum(down, None, m, m - 1, 1, order)
     for v, gi in couplings.items():
-        acc = acc - g * gi * _path_sum(r_window, m, v - 1, order)
+        acc = acc - g * gi * path_sum(down, None, m, m - 1, v - 1, order)
     target = TruncSeries.const("g", _N(-1) * m, order)
     return acc - target
-
-
-def _path_sum(r_window, start, steps, order):
-    """Sum over +-1 paths of given length from start to start-1, heights >= 0."""
-    total = TruncSeries.const("g", _npoly(), order)
-
-    def rec(h, left, weight):
-        nonlocal total
-        if left == 0:
-            if h == start - 1:
-                total = total + weight
-            return
-        if h + left < start - 1 or h - left > start - 1:
-            return
-        rec(h + 1, left - 1, weight)
-        if h > 0:
-            rec(h - 1, left - 1, weight * r_window[h])
-
-    rec(start, steps, TruncSeries.const("g", _npoly(1), order))
-    return total
 
 
 def exact_free_energy_FN(couplings, order, M=None):
@@ -251,23 +238,12 @@ def genus_one_closed_form(order):
 
 
 def two_marked_faces(couplings, order):
-    """Generating function with two marked faces: log R from the even
-    fixed point R = 1 + sum g_{2k} C(2k-1,k) R^k."""
-    from .series_core import fixed_point_solve
-
+    """Generating function with two marked faces: log R of the even
+    one-cut solution."""
     for v in couplings:
         if v % 2:
             raise EvenOnly("even potentials only")
-    g = TruncSeries.gen("g", order)
-
-    def eq(x):
-        acc = TruncSeries.const("g", 1, order)
-        for v, gi in couplings.items():
-            k = v // 2
-            acc = acc + g * gi * comb(2 * k - 1, k) * x ** k
-        return acc
-
-    return fixed_point_solve(eq, 1, order).log()
+    return solve_one_cut(Potential(couplings), order).R.log()
 
 
 class CriticalPoint:

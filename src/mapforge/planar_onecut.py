@@ -8,12 +8,14 @@ through a = S - 2 sqrt(R), b = S + 2 sqrt(R); the residue system
 
 with V'_m the coefficient of w^m in V'(w + S + R/w) determines R and S
 order by order.  For even potentials S vanishes identically and the first
-equation is trivial.
+equation is trivial.  V'_m is the matrix element <m|V'(Q)|0> of the
+transfer operator with constant weights R and S; path_sum evaluates every
+such <m|Q^k|n>, here and in geodesic and ortho_genus.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, pi, sqrt as fsqrt
+from math import comb, pi, sqrt as fsqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 
@@ -39,9 +41,6 @@ class Potential:
     def is_even(self):
         return all(v % 2 == 0 for v in self.couplings)
 
-    def degree(self):
-        return max(self.couplings, default=2)
-
     @classmethod
     def quartic(cls, g4=1):
         return cls({4: g4})
@@ -55,37 +54,43 @@ class OneCutSolution:
         self.S = S
 
 
-def _laurent_coeff_of_power(k, m, S, R):
-    """Coefficient of w^m in (w + S + R/w)^k, S and R series."""
-    total = None
-    for a in range(k + 1):
-        for c in range(k - a + 1):
-            if a - c != m:
-                continue
-            b = k - a - c
-            mult = factorial(k) // (factorial(a) * factorial(b) * factorial(c))
-            term = mult * (S ** b) * (R ** c)
-            total = term if total is None else total + term
-    if total is None:
-        return 0
-    return total
+def path_sum(down, level, start, end, steps, order):
+    """<end| Q^steps |start> for Q|h> = |h+1> + level(h)|h> + down(h)|h-1>.
+
+    The sum over height paths from start to end: an up step weighs 1, a
+    level or down step leaving height h weighs level(h) or down(h), and a
+    weight of None means that step does not exist, so a wall is a None;
+    level=None allows no level steps.  The walk advances one step at a
+    time through a dict height -> weight and drops the heights that can no
+    longer reach end.  A weight stays an int path count until a series
+    enters it, so no zero or unit series is built or multiplied.  When no
+    series enters, the result is that count as a constant series."""
+    moves = [(1, None), (-1, down)] + ([(0, level)] if level else [])
+    layer = {start: 1}
+    for left in reversed(range(steps)):
+        nxt = {}
+        for h, w in layer.items():
+            for dh, weight in moves:
+                to = h + dh
+                if abs(to - end) > left:
+                    continue
+                term = w
+                if weight is not None:
+                    s = weight(h)
+                    if s is None:
+                        continue
+                    term = s if isinstance(w, int) and w == 1 else w * s
+                nxt[to] = nxt[to] + term if to in nxt else term
+        layer = nxt
+    out = layer.get(end, 0)
+    if isinstance(out, TruncSeries):
+        return out
+    return TruncSeries.const("g", out, order)
 
 
-def _vprime_m(V, m, S, R, g):
-    """V'_m = [w^m] V'(w + S + R/w) as a series in g."""
-    # the x term of V'(x) = x - sum g_i x^{i-1}
-    if m == 1:
-        out = TruncSeries.const(g.var, 1, g.order) * 1
-    elif m == 0:
-        out = S * 1
-    elif m == -1:
-        out = R * 1
-    else:
-        out = TruncSeries.const(g.var, 0, g.order)
-    for v, gi in V.couplings.items():
-        c = _laurent_coeff_of_power(v - 1, m, S, R)
-        out = out - g * gi * c
-    return out
+def _bulk_weights(V, R, S):
+    """down and level of Q in the bulk, where every R_n = R and S_n = S."""
+    return (lambda h: R), (None if V.is_even() else lambda h: S)
 
 
 def solve_one_cut(V, order):
@@ -94,13 +99,14 @@ def solve_one_cut(V, order):
     even = V.is_even()
 
     def equation(X):
-        # R = 1 + sum g_i [w^{-1}](...)^{i-1},  S = sum g_i [w^0](...)^{i-1}
-        R, S = X
+        # R = 1 + sum g_i <-1|Q^{i-1}|0>,  S = sum g_i <0|Q^{i-1}|0>
+        down, level = _bulk_weights(V, *X)
         newR, newS = 1, 0
         for v, gi in V.couplings.items():
-            newR = newR + g * gi * _laurent_coeff_of_power(v - 1, -1, S, R)
+            newR = newR + g * gi * path_sum(down, level, 0, -1, v - 1, order)
             if not even:
-                newS = newS + g * gi * _laurent_coeff_of_power(v - 1, 0, S, R)
+                newS = newS + g * gi * path_sum(down, level, 0, 0, v - 1,
+                                                order)
         return newR, newS
 
     sol = OneCutSolution(*fixed_point_solve(equation, (1, 0), order))
@@ -139,8 +145,15 @@ def quartic_solution(g4, order):
 
 
 def residue_coeff(V, sol, m):
+    """V'_m = [w^m] V'(w + S + R/w) = <m|V'(Q)|0> in the bulk, a series
+    in g."""
     g = TruncSeries.gen("g", sol.R.order)
-    return _vprime_m(V, m, sol.S, sol.R, g)
+    down, level = _bulk_weights(V, sol.R, sol.S)
+    # the x term of V'(x) = x - sum g_i x^{i-1}
+    out = path_sum(down, level, 0, m, 1, g.order)
+    for v, gi in V.couplings.items():
+        out = out - g * gi * path_sum(down, level, 0, m, v - 1, g.order)
+    return out
 
 
 def gamma_one(V, sol):

@@ -170,10 +170,6 @@ class PseudoDiffOp:
         """Purely differential part, exact."""
         return PseudoDiffOp({d: f for d, f in self.table.items() if d >= 0})
 
-    def minus_part(self):
-        return PseudoDiffOp({d: f for d, f in self.table.items() if d < 0},
-                            self.cutoff)
-
     def __eq__(self, other):
         c = min(self.cutoff, other.cutoff)
         degs = set(self.table) | set(other.table)

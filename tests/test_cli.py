@@ -145,6 +145,7 @@ def test_output_file(tmp_path, capsys):
 def test_validation_exit_codes(capsys):
     assert run(capsys, "planar", "--emit", "bogus")[0] == 2
     assert run(capsys, "oracle", "--weights", "x=1")[0] == 2
+    assert run(capsys, "oracle", "--weights", "g0=1")[0] == 2
     assert run(capsys, "branching", "--p", "0.3", "--samples", "5")[0] == 2
     with pytest.raises(SystemExit) as e:
         main(["planar", "--no-such-flag"])
@@ -246,6 +247,8 @@ def test_metadata_echoes_parameters(capsys):
     (("stringeq", "--m", "-1"), "BadParameter: m must be >= 0\n"),
     (("planar", "--order", "-1"), "BadParameter: order must be >= 0\n"),
     (("genus", "--order", "-1"), "BadParameter: order must be >= 0\n"),
+    (("oracle", "--weights", "g4=1", "--order", "-1"),
+     "BadParameter: order must be >= 0\n"),
 ])
 def test_negative_sizes_exit_2(capsys, argv, message):
     code = main(list(argv))

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction as F
+from itertools import product
+from math import comb
 
 import pytest
 from scipy.integrate import quad
@@ -8,7 +11,7 @@ from mapforge.wick_fatgraphs import catalan, connected_free_energy_F
 from mapforge.planar_onecut import (
     EvenOnly, OutOfOneCut, Potential, gamma_one, gamma_one_one,
     gamma_two_sameface, planar_free_energy, quartic_closed_form_f,
-    r_of_z, residue_coeff, solve_one_cut, spectral_density_eval,
+    path_sum, r_of_z, residue_coeff, solve_one_cut, spectral_density_eval,
 )
 
 
@@ -129,8 +132,8 @@ def test_difequa_identity():
 
 
 def test_blossom_fixed_point_matches_even_R():
-    # R = 1 + sum g_{2k} C(2k-1,k) R^k reproduces the residue-system R
-    from math import comb
+    # R = 1 + sum g_{2k} C(2k-1,k) R^k reproduces the residue-system R;
+    # this equation is the independent oracle for two_marked_faces too
     for couplings in ({4: F(1)}, {6: F(1)}, {4: F(1), 6: F(1, 3)}, {2: F(1, 2)}):
         V = Potential(couplings)
         sol = solve_one_cut(V, 10)
@@ -175,3 +178,97 @@ def test_density_quartic_normalized():
 def test_density_supercritical_raises():
     with pytest.raises(OutOfOneCut):
         spectral_density_eval(Potential.quartic(), 0.1, 0.0)
+
+
+def _word_oracle(down, level, start, end, steps, order):
+    """<end|Q^steps|start> summed over all 3^steps step words."""
+    total = TruncSeries.zero("g", order)
+    for word in product((1, 0, -1), repeat=steps):
+        h, w = start, TruncSeries.const("g", 1, order)
+        for dh in word:
+            if dh == 1:
+                s = 1
+            elif dh == 0:
+                s = level(h) if level else None
+            else:
+                s = down(h)
+            if s is None:
+                break
+            h, w = h + dh, w * s
+        else:
+            if h == end:
+                total = total + w
+    return total
+
+
+def _random_weights(rng, wall, coeff, order=3):
+    """down and level drawing one fixed random series per height.
+
+    wall: None (bulk), "below 0" (no step leaves a negative height, as in
+    geodesic) or "at 0" (no down step from 0 and no level steps, as in
+    ortho_genus)."""
+    table = {}
+
+    def weight(kind, h):
+        if (kind, h) not in table:
+            table[kind, h] = TruncSeries(
+                "g", [coeff(rng) for _ in range(order + 1)])
+        return table[kind, h]
+
+    def down(h):
+        if wall == "below 0" and h < 0 or wall == "at 0" and h <= 0:
+            return None
+        return weight("down", h)
+
+    def level(h):
+        return None if wall == "below 0" and h < 0 else weight("level", h)
+
+    return down, None if wall == "at 0" else level
+
+
+def _fraction_coeff(rng):
+    return F(rng.randint(-3, 3), rng.randint(1, 4))
+
+
+def _npoly_coeff(rng):
+    terms = {(e,): _fraction_coeff(rng) for e in (-1, 0, 1)}
+    return SymbolPoly(("N",), terms, ("N",))
+
+
+@pytest.mark.parametrize("wall", [None, "below 0", "at 0"],
+                         ids=["bulk", "wall_below_0", "wall_at_0"])
+def test_path_sum_matches_word_enumeration(wall):
+    rng = random.Random(repr(wall))
+    for steps in range(7):
+        for _ in range(3):
+            start = rng.randint(0, 3)
+            end = rng.randint(max(start - steps, 0), start + steps)
+            down, level = _random_weights(rng, wall, _fraction_coeff)
+            got = path_sum(down, level, start, end, steps, 3)
+            assert got.order == 3
+            assert got == _word_oracle(down, level, start, end, steps, 3)
+
+
+def test_path_sum_with_symbolic_coefficients():
+    rng = random.Random(7)
+    for steps in (1, 3, 5):
+        down, level = _random_weights(rng, "at 0", _npoly_coeff, order=2)
+        got = path_sum(down, level, 2, 1, steps, 2)
+        assert got == _word_oracle(down, level, 2, 1, steps, 2)
+        assert all(isinstance(c, SymbolPoly) for c in got.coeffs)
+
+
+def test_path_sum_counts_without_weights():
+    # unit weights: central binomials in the bulk, Catalan numbers above a
+    # wall at 0, the lone all-up path, and no path of the wrong parity
+    def one(h):
+        return 1
+
+    def walled(h):
+        return 1 if h > 0 else None
+
+    for n in (0, 1, 5, 60):
+        assert path_sum(one, None, 0, 0, 2 * n, 2) == comb(2 * n, n)
+        assert path_sum(walled, None, 0, 0, 2 * n, 2) == catalan(n)
+    assert path_sum(walled, None, 3, 7, 4, 2) == 1
+    assert path_sum(one, None, 0, 0, 7, 2).is_zero()

@@ -89,13 +89,6 @@ def test_one_square_root_per_report(monkeypatch, capsys):
     assert len(calls) == 1
 
 
-def test_odd_powers_have_no_d0_tail():
-    from mapforge.string_eq import _L_power
-    for m in (1, 2, 3):
-        P = _L_power(m, 2 * m + 2)
-        assert P.minus_part().coeff(0).is_zero()
-
-
 def test_string_equation():
     u = DiffPoly.u()
     e = string_equation(1, StringEqn(1, [0, 1]))
