@@ -10,7 +10,7 @@ distance-refined series: E_n = (1-p) R_n at g = p(1-p)/3.
 """
 
 from fractions import Fraction
-from math import cos, pi, sin, sqrt
+from math import acos, cos, pi, sin, sqrt
 import random
 
 from .geodesic import DomainError, exact_Rn_quartic
@@ -264,18 +264,24 @@ def theta_bounded_Rn(L, g):
 # Weierstrass scaling form of the bounded continuum limit
 
 
+def _weierstrass_roots(g3):
+    """The roots e1 > e2 > e3 of 4e^3 - 3e - g3 for |g3| < 1: with
+    e = cos(theta) the cubic reads cos(3 theta) = g3."""
+    t = acos(g3) / 3
+    return cos(t), cos(t - 2 * pi / 3), cos(t + 2 * pi / 3)
+
+
 class WeierstrassProfile:
     """U(r) = 2 wp(r | omega = lam/2) with second invariant g2 = 3; the
     third invariant is fixed by the half-period condition."""
 
     def __init__(self, lam):
-        import numpy as np
         from scipy.optimize import brentq
         from scipy.special import ellipk
         self.lam = lam
 
         def omega(g3):
-            e = sorted(np.roots([4.0, 0.0, -3.0, -g3]).real, reverse=True)
+            e = _weierstrass_roots(g3)
             m = (e[1] - e[2]) / (e[0] - e[2])
             return float(ellipk(m)) / sqrt(e[0] - e[2])
 
@@ -283,8 +289,7 @@ class WeierstrassProfile:
         if not omega(hi) < lam / 2 < omega(lo):
             raise DomainError("half-period lam/2 outside the reachable range")
         self.g3 = brentq(lambda t: omega(t) - lam / 2, lo, hi, xtol=1e-14)
-        self.e = sorted(np.roots([4.0, 0.0, -3.0, -self.g3]).real,
-                        reverse=True)
+        self.e = _weierstrass_roots(self.g3)
         self.m = (self.e[1] - self.e[2]) / (self.e[0] - self.e[2])
 
     def wp(self, r):

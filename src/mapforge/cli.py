@@ -25,7 +25,7 @@ from .ortho_genus import (IncreaseM, NoPhysicalRoot, DegenerateMeasure,
                           StructureViolation, exact_free_energy_FN,
                           genus_extract)
 from .string_eq import DeepenCutoff, AlgebraBug, kdv_residues, commutator_check
-from .geodesic import (DomainError, quartic_coeff_table, integral_of_motion,
+from .geodesic import (DomainError, exact_Rn_quartic, integral_of_motion,
                        scaling_F, scaling_G, discrete_to_continuum_check)
 from .bijections import sample_quadrangulation_uniform, distance_profile
 from .observables import (BranchError, IntegrationObstruction, neighbor_pgf,
@@ -71,7 +71,7 @@ def _parse_weights(tokens):
             raise BadParameter("valence in weight '%s' must be >= 1" % tok)
         try:
             out[valence] = rat_parse(m.group(2))
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise BadParameter("bad rational '%s' in weight" % m.group(2))
     if not out:
         raise BadParameter("at least one weight is required")
@@ -251,10 +251,11 @@ def _cmd_geodesic(args):
         raise BadParameter("n must be >= 0")
     if args.order < 0:
         raise BadParameter("order must be >= 0")
-    # the table is R_n at g4 = 1; coupling g4 scales order k by g4^k
-    table = quartic_coeff_table(args.n + 1, args.order)
-    R = {m: TruncSeries("g", [c * args.g4 ** k for k, c in enumerate(row)])
-         for m, row in table.items()}
+    # the printed rows n-1..n+1 at g4 = 1; coupling g4 scales order k by g4^k
+    R = {}
+    for m in range(max(args.n - 1, 0), args.n + 2):
+        row = exact_Rn_quartic(m, order=args.order).coeffs
+        R[m] = TruncSeries("g", [c * args.g4 ** k for k, c in enumerate(row)])
     series = {}
     if "Rn" in emits:
         series["Rn"] = R[args.n]

@@ -6,20 +6,19 @@ recursion R_n = 1 + sum_i g g_i <n-1|Q^{i-1}|n> (plus <n|V'(Q)|n> = 0
 fixing S_n when odd valences are present) is solved on a finite window
 whose tail is seeded with the translation-invariant bulk solution.  Each
 matrix element is planar_onecut.path_sum with a wall below height 0.
-Pure-quartic full series read one memoised integer table instead
-(quartic_coeff_table); single fixed-area coefficients come from Lagrange
-inversion of the closed form (_quartic_area_terms).
+Every pure-quartic coefficient, alone or in a whole series, is read
+instead by Lagrange inversion of the closed form in the characteristic
+root (_quartic_area_terms), which is itself evaluated only at float g;
+tests/quartic_oracles.py keeps the integer recursion and the closed-form
+series as independent oracles.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import cosh, sinh, sqrt as fsqrt
-from operator import mul
 
 from .series_core import TruncSeries, fixed_point_solve
-from .planar_onecut import (OutOfOneCut, Potential, path_sum, solve_one_cut,
-                            unit_quartic_solution)
+from .planar_onecut import OutOfOneCut, Potential, path_sum, solve_one_cut
 
 
 class DomainError(ValueError):
@@ -81,20 +80,6 @@ def solve_Rn_series(weights, n_max, order):
                           {n: X[top + 1 + n] for n in range(n_max + 1)})
 
 
-@lru_cache(maxsize=None)
-def char_root_series(order):
-    """x = O(g) solving x + 1/x + 4 = 1/(gR), i.e. x = gR(1 + 4x + x^2).
-
-    Solved once per order and shared: callers must not mutate it."""
-    R = unit_quartic_solution(order).R
-    g = TruncSeries.gen("g", order)
-
-    def eq(x):
-        return g * R * (1 + 4 * x + x * x)
-
-    return fixed_point_solve(eq, 0, order)
-
-
 def quartic_R_numeric(g):
     """Bulk R = (1 - sqrt(1-12g))/(6g) on the one-cut branch."""
     if g < 0 or 1.0 - 12.0 * g <= 0:
@@ -116,15 +101,11 @@ def char_root_numeric(g):
 def exact_Rn_quartic(n, g=None, order=None):
     """R_n = R (1-x^{n+1})(1-x^{n+4}) / ((1-x^{n+2})(1-x^{n+3})).
 
-    Series mode when order is given, numeric mode when g is a float.
+    Series mode when order is given (coefficients by Lagrange inversion),
+    numeric mode when g is a float.
     """
     if order is not None:
-        R = unit_quartic_solution(order).R
-        x = char_root_series(order)
-        one = TruncSeries.const("g", 1, order)
-        num = (one - x ** (n + 1)) * (one - x ** (n + 4))
-        den = (one - x ** (n + 2)) * (one - x ** (n + 3))
-        return R * num / den
+        return TruncSeries("g", _quartic_row(n, order))
     R = quartic_R_numeric(g)
     x = char_root_numeric(g)
     num = (1.0 - x ** (n + 1)) * (1.0 - x ** (n + 4))
@@ -138,41 +119,20 @@ def integral_of_motion(pair, g):
     return a * b * (1 - g * a - g * b) - a - b
 
 
-# _QUARTIC_ROWS[n][k] = [g^k] R_n of the pure quartic, a Python int; rows
-# only grow, and callers never write to them
-_QUARTIC_ROWS = []
-
-
-def _quartic_rows(n_max, A):
-    """The integer rows of the pure-quartic R_n, grown in place until rows
-    n <= n_max hold orders 0..A.
-
-    R_n = 1 + g R_n (R_{n+1} + R_n + R_{n-1}) with R_{-1} = 0 has integer
-    coefficients, and [g^k] R_n reads only rows n-1..n+1 below order k,
-    so at order k only rows n <= n_max + A - k can reach the answer."""
-    if n_max < 0 or A < 0:
+def _quartic_row(n, A):
+    """[g^k] R_n of the pure quartic for k = 0..A, as Fractions."""
+    if n < 0 or A < 0:
         raise DomainError("distance and order must be >= 0")
-    rows = _QUARTIC_ROWS
-    top = n_max + A
-    while len(rows) <= top:
-        rows.append([1])
-    for k in range(1, A + 1):
-        for n in range(top - k + 1):
-            row = rows[n]
-            if len(row) > k:
-                continue
-            down = rows[n - 1] if n else repeat(0)
-            s = [u + r + d for u, r, d in zip(rows[n + 1], row, down)]
-            row.append(sum(map(mul, row, reversed(s))))
-    return rows
+    return [Fraction(1)] + [Fraction(_quartic_area_terms(n, k)[0], k)
+                            for k in range(1, A + 1)]
 
 
 def quartic_coeff_table(n_max, A):
     """Taylor coefficients of the pure-quartic R_n, n = 0..n_max, through
     g-order A, as exact Fractions."""
-    rows = _quartic_rows(n_max, A)
-    return {n: [Fraction(c) for c in rows[n][:A + 1]]
-            for n in range(n_max + 1)}
+    if n_max < 0:
+        raise DomainError("distance and order must be >= 0")
+    return {n: _quartic_row(n, A) for n in range(n_max + 1)}
 
 
 def _int_product(a, b, N):

@@ -13,7 +13,7 @@ rooted quadrangulations with the root start as origin reweighted by
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, sqrt
+from math import acos, comb, copysign, cos, pi, sqrt
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import unit_quartic_solution
@@ -232,15 +232,43 @@ def _gamma_cubic_coeffs(rho, sigma):
     return a3, a2, a1, a0
 
 
+def _real_cubic_roots(a3, a2, a1, a0):
+    """The real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 != 0), ascending,
+    by Vieta's trigonometric form or Cardano's formula and two Newton steps;
+    a complex pair with imaginary part below 1e-9 counts as a double root."""
+    b, c, d = a2 / a3, a1 / a3, a0 / a3
+    # x = t - b/3 turns the cubic into t^3 + p t + q
+    p = c - b * b / 3
+    q = 2 * b ** 3 / 27 - b * c / 3 + d
+    disc = (q / 2) ** 2 + (p / 3) ** 3
+    if disc < 0:
+        r = 2 * sqrt(-p / 3)
+        phi = acos(max(-1.0, min(1.0, 3 * q / (p * r))))
+        ts = [r * cos((phi - 2 * pi * k) / 3) for k in range(3)]
+    else:
+        u, v = (copysign(abs(y) ** (1 / 3), y)
+                for y in (-q / 2 + sqrt(disc), -q / 2 - sqrt(disc)))
+        ts = [u + v]
+        if sqrt(3) / 2 * abs(u - v) < 1e-9:
+            ts += [-(u + v) / 2] * 2
+    roots = []
+    for t in ts:
+        x = t - b / 3
+        for _ in range(2):
+            slope = (3 * a3 * x + 2 * a2) * x + a1
+            if slope:
+                x -= (((a3 * x + a2) * x + a1) * x + a0) / slope
+        roots.append(x)
+    return sorted(roots)
+
+
 def gamma_infinite(rho, sigma):
     """Gamma(rho, sigma) = lim_A <rho^N1 sigma^N01>_A: the real cubic root
     continuing the branch with Gamma(1,1) = 1."""
-    import numpy as np
     coeffs = [float(c) for c in _gamma_cubic_coeffs(rho, sigma)]
     if abs(coeffs[0]) < 1e-12:
         raise BranchError("degenerate cubic")
-    roots = np.roots(coeffs)
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-9)
+    real = _real_cubic_roots(*coeffs)
     if not real:
         raise BranchError("no real root")
     top = real[-1]

@@ -35,7 +35,10 @@ def rat_str(q):
 
 
 def rat_parse(s):
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % (s,)) from None
 
 
 _ZERO = Fraction(0)

@@ -152,6 +152,10 @@ def test_validation_exit_codes(capsys):
     assert e.value.code == 2
     with pytest.raises(SystemExit):
         main(["sample", "--faces", "4", "--samples", "1"])  # seed missing
+    for argv in (["planar", "--g4", "1/0"], ["branching", "--p", "1/0"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 def test_numeric_exit_codes(capsys):

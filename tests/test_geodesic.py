@@ -6,11 +6,14 @@ import pytest
 from mapforge.series_core import TruncSeries
 from mapforge.planar_onecut import OutOfOneCut, Potential, solve_one_cut
 from mapforge.geodesic import (
-    DomainError, bn_infinity, char_root_numeric, char_root_series,
+    DomainError, bn_infinity, char_root_numeric,
     continuum_two_point, discrete_to_continuum_check, exact_Rn_quartic,
     fixed_area_ratio, integral_of_motion, quartic_R_numeric,
     quartic_coeff_table, scaling_F, scaling_G, solve_Rn_series,
 )
+
+from quartic_oracles import (char_root_series, closed_form_Rn,
+                             quartic_table_oracle)
 
 
 def test_quartic_R0():
@@ -103,13 +106,41 @@ def test_mixed_valence_tail_matches_one_cut():
 
 
 def test_coeff_table_routes_agree():
-    # the integer table against the closed form and the window solver
+    # the table against the closed-form oracle and the window solver
     table = quartic_coeff_table(6, 20)
     window = solve_Rn_series({4: F(1)}, 6, 12)
     for n in range(7):
         assert all(type(c) is F for c in table[n])
-        assert table[n] == exact_Rn_quartic(n, order=20).coeffs
+        assert table[n] == closed_form_Rn(n, 20).coeffs
         assert table[n][:13] == window.R[n].coeffs
+
+
+def test_quartic_rows_match_integer_recursion():
+    # every row and series against the independent integer recursion
+    oracle = quartic_table_oracle(10, 60)
+    table = quartic_coeff_table(10, 60)
+    assert table == oracle
+    for n in range(11):
+        assert all(type(c) is F for c in table[n])
+    for A in range(61):
+        for n in range(11):
+            row = exact_Rn_quartic(n, order=A).coeffs
+            assert row == oracle[n][:A + 1]
+            assert all(type(c) is F for c in row)
+    for A in (0, 1, 7):
+        assert quartic_coeff_table(3, A) == {
+            n: oracle[n][:A + 1] for n in range(4)}
+
+
+def test_quartic_rows_reject_negative_distance():
+    for n in (-1, -2, -5):
+        for A in (0, 3):
+            with pytest.raises(DomainError):
+                exact_Rn_quartic(n, order=A)
+            with pytest.raises(DomainError):
+                quartic_coeff_table(n, A)
+    with pytest.raises(DomainError):
+        exact_Rn_quartic(2, order=-1)
 
 
 def test_fixed_area_ratios():

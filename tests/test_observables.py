@@ -5,11 +5,10 @@ import pytest
 
 from mapforge.series_core import SymbolPoly, TruncSeries
 from mapforge.planar_onecut import Potential, solve_one_cut
-from mapforge.geodesic import (fixed_area_ratio, quartic_coeff_table,
-                               solve_Rn_series)
+from mapforge.geodesic import fixed_area_ratio, solve_Rn_series
 from mapforge.bijections import enumerate_well_labeled
 from mapforge.observables import (
-    BranchError, IntegrationObstruction, edges_at_distance,
+    BranchError, IntegrationObstruction, _real_cubic_roots, edges_at_distance,
     edges_at_distance_asymptotic, gamma_infinite, gamma_rho_closed_form,
     gamma_rho_series, gamma_sigma_closed_form, gamma_sigma_series,
     integrate_sigma_log, local_weight_average, mc_profile, neighbor_pgf,
@@ -20,6 +19,7 @@ from mapforge.observables import (
 )
 
 from map_oracles import origin_average
+from quartic_oracles import quartic_table_oracle
 
 
 def test_edges_at_distance_oracles():
@@ -207,6 +207,19 @@ def test_gamma_numeric_branch():
         gamma_infinite(F(4, 3), 1)
 
 
+def test_real_cubic_roots():
+    # three real roots (trigonometric form), one (Cardano), p = 0, and the
+    # triple root at 0
+    assert _real_cubic_roots(1, -6, 11, -6) == pytest.approx(
+        [1, 2, 3], rel=1e-15)
+    assert _real_cubic_roots(2, -2, 2, -2) == [1.0]
+    assert _real_cubic_roots(1, 0, 0, -8) == [2.0]
+    assert _real_cubic_roots(1, 0, 0, 0) == [0.0] * 3
+    # gamma_infinite's cubic at (rho, sigma) = (1, 1): (G - 1)(G + 2)(G + 3)
+    assert _real_cubic_roots(1, 4, 1, -6) == pytest.approx(
+        [-3, -2, 1], rel=1e-15)
+
+
 def test_neighbor_probabilities_sum_to_one():
     partial = sum(neighbor_pgf(n) for n in range(1, 60))
     assert 0 < 1 - partial < F(1, 10 ** 6)
@@ -224,7 +237,7 @@ def test_numeric_large_area_route_matches_exact():
     # oracle: the integer table of R_n and TruncSeries.log, against the
     # single coefficients that Lagrange inversion reads
     A_max = 120
-    table = quartic_coeff_table(6, A_max)
+    table = quartic_table_oracle(6, A_max)
     R = [TruncSeries("g", table[n]) for n in range(7)]
     layers = [R[0].log()] + [(R[n] / R[n - 1]).log() for n in range(1, 6)]
     for A in range(1, A_max + 1):
