@@ -146,8 +146,10 @@ def _int_product(a, b, N):
 
 
 @lru_cache(maxsize=256)
-def _quartic_area_terms(n, A):
-    """(A [g^A] R_n, A [g^A] log R_n) of the pure quartic, as ints.
+def _quartic_area_terms(n, A, log=False):
+    """A [g^A] R_n of the pure quartic as a 1-tuple of ints, or with log
+    the pair (A [g^A] R_n, A [g^A] log R_n): only the callers that read
+    the log term pay for its kernel.
 
     The closed form (Bouttier, Di Francesco, Guitter 2003) is R_n = R T_n
     in the characteristic root x, with R = Y4/Y1, Y4 = 1+4x+x^2,
@@ -175,16 +177,18 @@ def _quartic_area_terms(n, A):
     Y4, Y1 = [1, 4, 1], [1, 1, 1]
     # [g^A] R_n = [x^A] kR s
     kR = _int_product(_int_product(Y4, [1, -2, 0, 2, -1], 6), T, A)
-    # A [g^A] log R_n = [x^A] kL s, kL = Y4 Y1^2 c + 3x (1-x^2) Y1, where
-    # c_{mk} collects -m from each log(1-x^m) term of log T_n
-    c = [0] * (A + 1)
-    for m, sign in ((n + 1, 1), (n + 4, 1), (n + 2, -1), (n + 3, -1)):
-        for i in range(m, A + 1, m):
-            c[i] -= sign * m
-    kL = _int_product(_int_product(Y4, _int_product(Y1, Y1, 4), 6), c, A)
-    for i, q in ((1, 3), (2, 3), (4, -3), (5, -3)):
-        if i <= A:
-            kL[i] += q
+    if log:
+        # A [g^A] log R_n = [x^A] kL s, kL = Y4 Y1^2 c + 3x (1-x^2) Y1,
+        # where c_{mk} collects -m from each log(1-x^m) term of log T_n
+        c = [0] * (A + 1)
+        for m, sign in ((n + 1, 1), (n + 4, 1), (n + 2, -1), (n + 3, -1)):
+            for i in range(m, A + 1, m):
+                c[i] -= sign * m
+        kL = _int_product(_int_product(Y4, _int_product(Y1, Y1, 4), 6),
+                          c, A)
+        for i, q in ((1, 3), (2, 3), (4, -3), (5, -3)):
+            if i <= A:
+                kL[i] += q
     # (j+1) s_{j+1} = sum_i (q_i - P_{i+1} (j-i)) s_{j-i}, i = 0..3, with
     # q the coefficients of (2A-1) U - (A+2) W and P = 1+5x+6x^2+5x^3+x^4
     q0, q1, q2, q3 = 7 * A - 6, 6 * A - 18, 3 * A - 24, 2 * A - 6
@@ -192,11 +196,12 @@ def _quartic_area_terms(n, A):
     termR = termL = 0
     for j in range(A + 1):
         termR += s0 * kR[A - j]
-        termL += s0 * kL[A - j]
+        if log:
+            termL += s0 * kL[A - j]
         t = ((q0 - 5 * j) * s0 + (q1 - 6 * (j - 1)) * s1
              + (q2 - 5 * (j - 2)) * s2 + (q3 - (j - 3)) * s3)
         s0, s1, s2, s3 = t // (j + 1), s0, s1, s2
-    return A * termR, termL
+    return (A * termR, termL) if log else (A * termR,)
 
 
 def fixed_area_ratio(n, A):

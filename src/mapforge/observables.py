@@ -14,6 +14,7 @@ rooted quadrangulations with the root start as origin reweighted by
 from collections import Counter
 from fractions import Fraction
 from math import acos, comb, copysign, cos, pi, sqrt
+from sys import float_info
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import unit_quartic_solution
@@ -58,11 +59,12 @@ def vertices_at_distance(n, A):
         raise ValueError("area must be >= 1")
     if n == 0:
         return Fraction(1)
-    layer = _quartic_area_terms(n - 1, A)[1]
+    layer = _quartic_area_terms(n - 1, A, True)[1]
     if n >= 2:
-        layer -= _quartic_area_terms(n - 2, A)[1]
+        layer -= _quartic_area_terms(n - 2, A, True)[1]
+    # R_0's term from the log call, which n = 1 and n = 2 make anyway
     return Fraction(4 * A, A + 2) * Fraction(
-        layer, _quartic_area_terms(0, A)[0])
+        layer, _quartic_area_terms(0, A, True)[0])
 
 
 def vertices_at_distance_asymptotic(n):
@@ -103,8 +105,8 @@ def _exact_quotient(symbols, num, den):
             qe[ri] -= 1
             qe[si] -= 1
             qe = tuple(qe)
-            out[qe] = out.get(qe, Fraction(0)) + c
-            terms[qe] = terms.get(qe, Fraction(0)) + c
+            out[qe] = out.get(qe, 0) + c
+            terms[qe] = terms.get(qe, 0) + c
             if terms[qe] == 0:
                 del terms[qe]
         return SymbolPoly(symbols, out)
@@ -198,7 +200,7 @@ def integrate_sigma_log(series):
             if m == 0:
                 raise IntegrationObstruction(
                     "sigma-free term at positive area")
-            terms[e] = c / m
+            terms[e] = Fraction(c, m)
         out.append(SymbolPoly(series.coeffs[A].symbols, terms))
     return TruncSeries("g", out)
 
@@ -232,25 +234,42 @@ def _gamma_cubic_coeffs(rho, sigma):
     return a3, a2, a1, a0
 
 
+# rounding splits a double root into two roots, or a complex pair, about
+# sqrt(eps) times the roots' scale apart; closer than this they are one root
+_DOUBLE_ROOT_TOL = 32 * sqrt(float_info.epsilon)
+
+
 def _real_cubic_roots(a3, a2, a1, a0):
     """The real roots of a3 x^3 + a2 x^2 + a1 x + a0 (a3 != 0), ascending,
-    by Vieta's trigonometric form or Cardano's formula and two Newton steps;
-    a complex pair with imaginary part below 1e-9 counts as a double root."""
+    a double root listed twice.
+
+    Vieta's trigonometric form gives three real roots and Cardano's formula
+    one.  Two roots (or a complex pair) closer than _DOUBLE_ROOT_TOL times
+    the roots' scale max(|b|, |c|^(1/2), |d|^(1/3)) of the monic cubic
+    x^3 + b x^2 + c x + d count as a double root, polished by Newton steps
+    on the derivative, where it is a simple root; every simple root gets
+    two Newton steps on the cubic."""
     b, c, d = a2 / a3, a1 / a3, a0 / a3
+    tol = _DOUBLE_ROOT_TOL * max(abs(b), sqrt(abs(c)), abs(d) ** (1 / 3))
     # x = t - b/3 turns the cubic into t^3 + p t + q
     p = c - b * b / 3
     q = 2 * b ** 3 / 27 - b * c / 3 + d
     disc = (q / 2) ** 2 + (p / 3) ** 3
+    double = None
     if disc < 0:
         r = 2 * sqrt(-p / 3)
         phi = acos(max(-1.0, min(1.0, 3 * q / (p * r))))
-        ts = [r * cos((phi - 2 * pi * k) / 3) for k in range(3)]
+        ts = sorted(r * cos((phi - 2 * pi * k) / 3) for k in range(3))
+        if ts[1] - ts[0] <= tol:
+            double, ts = (ts[0] + ts[1]) / 2, ts[2:]
+        elif ts[2] - ts[1] <= tol:
+            double, ts = (ts[1] + ts[2]) / 2, ts[:1]
     else:
         u, v = (copysign(abs(y) ** (1 / 3), y)
                 for y in (-q / 2 + sqrt(disc), -q / 2 - sqrt(disc)))
         ts = [u + v]
-        if sqrt(3) / 2 * abs(u - v) < 1e-9:
-            ts += [-(u + v) / 2] * 2
+        if sqrt(3) / 2 * abs(u - v) <= tol:
+            double = -(u + v) / 2
     roots = []
     for t in ts:
         x = t - b / 3
@@ -259,6 +278,13 @@ def _real_cubic_roots(a3, a2, a1, a0):
             if slope:
                 x -= (((a3 * x + a2) * x + a1) * x + a0) / slope
         roots.append(x)
+    if double is not None:
+        x = double - b / 3
+        for _ in range(3):
+            curv = 6 * a3 * x + 2 * a2
+            if curv:
+                x -= ((3 * a3 * x + 2 * a2) * x + a1) / curv
+        roots += [x, x]
     return sorted(roots)
 
 
@@ -269,8 +295,6 @@ def gamma_infinite(rho, sigma):
     if abs(coeffs[0]) < 1e-12:
         raise BranchError("degenerate cubic")
     real = _real_cubic_roots(*coeffs)
-    if not real:
-        raise BranchError("no real root")
     top = real[-1]
     if len(real) > 1 and real[-1] - real[-2] < 1e-9:
         raise BranchError("branch collision near the discriminant locus")

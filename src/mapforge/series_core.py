@@ -41,15 +41,15 @@ def rat_parse(s):
         raise ValueError("zero denominator in %r" % (s,)) from None
 
 
-_ZERO = Fraction(0)
-
-
 class SymbolPoly:
-    """Polynomial (Laurent in flagged symbols) with Fraction coefficients.
+    """Polynomial (Laurent in flagged symbols) with rational coefficients.
 
-    terms maps exponent tuples to nonzero Fractions.  The symbol list and
-    the set of Laurent-allowed symbols are fixed per instance and must
-    agree between operands.
+    terms maps exponent tuples to nonzero coefficients, each an int when it
+    is integral and a Fraction otherwise, so the mostly integral counting
+    polynomials multiply at int speed; coeff() still returns a Fraction.
+    A float coefficient is refused.  The symbol list and the set of
+    Laurent-allowed symbols are fixed per instance and must agree between
+    operands.
     """
 
     __slots__ = ("symbols", "laurent", "terms")
@@ -59,8 +59,12 @@ class SymbolPoly:
         self.laurent = frozenset(laurent)
         clean = {}
         for expo, c in terms.items():
-            if type(c) is not Fraction:
+            if type(c) is not int:
+                if isinstance(c, float):
+                    raise TypeError("float coefficient %r" % (c,))
                 c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c == 0:
                 continue
             expo = tuple(expo)
@@ -73,7 +77,7 @@ class SymbolPoly:
     @classmethod
     def const(cls, symbols, value, laurent=()):
         z = (0,) * len(tuple(symbols))
-        return cls(symbols, {z: Fraction(value)}, laurent)
+        return cls(symbols, {z: value}, laurent)
 
     @classmethod
     def sym(cls, symbols, name, laurent=()):
@@ -81,16 +85,19 @@ class SymbolPoly:
         expo = tuple(1 if s == name else 0 for s in symbols)
         if name not in symbols:
             raise KeyError(name)
-        return cls(symbols, {expo: Fraction(1)}, laurent)
+        return cls(symbols, {expo: 1}, laurent)
 
     @classmethod
     def _raw(cls, symbols, terms, laurent):
         """Wrap terms that arithmetic already made valid (exponent tuples
-        allowed by laurent, Fraction values); only zeros are dropped."""
+        allowed by laurent, int or Fraction values); zeros are dropped and
+        integral Fractions become ints."""
         out = cls.__new__(cls)
         out.symbols = symbols
         out.laurent = laurent
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.terms = {e: c.numerator if type(c) is Fraction
+                     and c.denominator == 1 else c
+                     for e, c in terms.items() if c}
         return out
 
     def _coerce(self, other):
@@ -104,7 +111,7 @@ class SymbolPoly:
         """self + value for a scalar: only the constant term moves."""
         z = (0,) * len(self.symbols)
         terms = dict(self.terms)
-        terms[z] = terms.get(z, _ZERO) + value
+        terms[z] = terms.get(z, 0) + value
         return SymbolPoly._raw(self.symbols, terms, self.laurent)
 
     def _scale(self, value):
@@ -121,7 +128,7 @@ class SymbolPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, _ZERO) + c
+            terms[e] = terms.get(e, 0) + c
         return SymbolPoly._raw(self.symbols, terms,
                                self.laurent | other.laurent)
 
@@ -151,7 +158,7 @@ class SymbolPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, _ZERO) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return SymbolPoly._raw(self.symbols, terms,
                                self.laurent | other.laurent)
 
@@ -189,11 +196,16 @@ class SymbolPoly:
         for name, e in zip(self.symbols, inv_expo):
             if e < 0 and name not in self.laurent:
                 raise NonUnitDivisor("inverse needs Laurent symbol %s" % name)
-        return SymbolPoly(self.symbols, {inv_expo: 1 / c}, self.laurent)
+        return SymbolPoly(self.symbols, {inv_expo: Fraction(1) / c},
+                          self.laurent)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = SymbolPoly.const(self.symbols, other, self.laurent)
+            # a scalar equals a constant polynomial: compare the constant term
+            if not other:
+                return not self.terms
+            return (len(self.terms) == 1
+                    and self.terms.get((0,) * len(self.symbols)) == other)
         if not isinstance(other, SymbolPoly):
             return NotImplemented
         return self.symbols == other.symbols and self.terms == other.terms
@@ -207,7 +219,7 @@ class SymbolPoly:
     def coeff(self, **expos):
         """Coefficient of a monomial given as symbol=exponent keywords."""
         e = tuple(expos.get(s, 0) for s in self.symbols)
-        return self.terms.get(e, Fraction(0))
+        return Fraction(self.terms.get(e, 0))
 
     def exponents_of(self, name):
         """Sorted set of exponents of one symbol appearing with nonzero terms."""

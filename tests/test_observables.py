@@ -152,6 +152,16 @@ def test_quartic_R0_rho_sigma():
         assert SymbolPoly(("rho", "sigma"), relab) == Q.coeffs[A]
 
 
+def test_weighted_Zn_terms_are_ints():
+    # the counting polynomials are integral, so SymbolPoly keeps every
+    # term as an int: a Fraction here would be the slow path coming back
+    zs = weighted_Zn_solve(2, 5)
+    types = [type(c) for series in zs.values() for coeff in series.coeffs
+             for c in coeff.terms.values()]
+    assert len(types) == 1230
+    assert set(types) == {int}
+
+
 def test_gamma0_rooting_relation():
     order = 6
     Q = quartic_R0_rho_sigma(order)
@@ -218,6 +228,33 @@ def test_real_cubic_roots():
     # gamma_infinite's cubic at (rho, sigma) = (1, 1): (G - 1)(G + 2)(G + 3)
     assert _real_cubic_roots(1, 4, 1, -6) == pytest.approx(
         [-3, -2, 1], rel=1e-15)
+
+
+def test_real_cubic_double_roots():
+    # rounding leaves the double root of (x - 1)^2 (x + 6) a complex pair
+    # about 1e-8 apart; it must come back as 1 twice
+    assert _real_cubic_roots(1, 4, -11, 6) == [-6.0, 1.0, 1.0]
+    # 4 (x + 3)(2x + 1)^2 and a double root below a simple one
+    assert _real_cubic_roots(16, 64, 52, 12) == pytest.approx(
+        [-3, -0.5, -0.5], rel=1e-15)
+    assert _real_cubic_roots(1, -1, -5, -3) == pytest.approx(
+        [-1, -1, 3], rel=1e-15)
+    # every k (x - a)^2 (x - b) with a != b on a small rational grid
+    for a in (F(-7, 3), F(1, 2), 1, F(13, 5)):
+        for b in (-6, F(-1, 3), 2, F(9, 2)):
+            for k in (1, F(-2, 7), 12):
+                coeffs = (k, -k * (2 * a + b), k * (a * a + 2 * a * b),
+                          -k * a * a * b)
+                roots = _real_cubic_roots(*(float(x) for x in coeffs))
+                assert roots == pytest.approx(sorted([a, a, b]), rel=1e-12)
+
+
+def test_gamma_infinite_on_the_discriminant_locus():
+    # at (rho, sigma) = (1/5, 5/2) the cubic is -(G - 1)^2 (G + 6) / 2 and
+    # at (1, -2) it is 4 (G + 3)(2G + 1)^2: the top branch is double
+    for point in ((F(1, 5), F(5, 2)), (0.2, 2.5), (1, -2)):
+        with pytest.raises(BranchError, match="branch collision"):
+            gamma_infinite(*point)
 
 
 def test_neighbor_probabilities_sum_to_one():

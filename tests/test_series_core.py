@@ -221,6 +221,84 @@ def test_symbol_poly_subs_and_series():
     assert (s * s).coeffs[1] == 2 * p
 
 
+# SymbolPoly over (N, x) with N Laurent, its terms a mix of ints and
+# Fractions, against a plain dict-of-Fraction reference
+SP_SYMS = ("N", "x")
+scalar = st.one_of(st.integers(-30, 30), rat)
+sp_terms = st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(0, 2)),
+                           scalar, max_size=4)
+
+
+def _ref(terms):
+    return {e: F(c) for e, c in terms.items() if c}
+
+
+def _ref_add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, F(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            out[e] = out.get(e, F(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _assert_matches(poly, ref):
+    assert poly.terms == ref
+    for e, c in poly.terms.items():
+        # an int when integral, a Fraction otherwise; never a float
+        assert type(c) is (int if F(c).denominator == 1 else F)
+        assert type(poly.coeff(N=e[0], x=e[1])) is F
+    assert type(poly.coeff(N=9, x=9)) is F
+
+
+@settings(max_examples=60, deadline=None)
+@given(sp_terms, sp_terms, scalar, st.integers(-2, 2), scalar)
+def test_symbol_poly_matches_fraction_reference(ta, tb, s, k, mc):
+    a = SymbolPoly(SP_SYMS, ta, laurent=("N",))
+    b = SymbolPoly(SP_SYMS, tb, laurent=("N",))
+    ra, rb = _ref(ta), _ref(tb)
+    _assert_matches(a, ra)
+    _assert_matches(a + b, _ref_add(ra, rb))
+    _assert_matches(a - b, _ref_add(ra, rb, -1))
+    _assert_matches(a * b, _ref_mul(ra, rb))
+    _assert_matches(a + s, _ref_add(ra, _ref({(0, 0): s})))
+    _assert_matches(a * s, _ref_mul(ra, _ref({(0, 0): s})))
+    # a scalar equals exactly the polynomial that is that constant
+    assert (a == s) == (ra == _ref({(0, 0): s}))
+    assert ((a + s) == s) == (not ra)
+    assert SymbolPoly.const(SP_SYMS, s, ("N",)) == s
+    assert a - a == 0
+    if mc:
+        m = SymbolPoly(SP_SYMS, {(k, 0): mc}, laurent=("N",))
+        _assert_matches(m.inverse(), {(-k, 0): 1 / F(mc)})
+        prod = a * b
+        _assert_matches(prod * m.inverse() * m, prod.terms)
+        assert prod * m.inverse() * m == prod
+        _assert_matches(prod / mc, _ref_mul(prod.terms, {(0, 0): 1 / F(mc)}))
+    # equal polynomials hash alike, whatever type their terms came in
+    assert hash(SymbolPoly(SP_SYMS, ra, ("N",))) == hash(a)
+
+
+def test_symbol_poly_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        SymbolPoly(SP_SYMS, {(0, 1): 0.5})
+    with pytest.raises(TypeError):
+        SymbolPoly.const(SP_SYMS, 1.0)
+    # integral Fractions are stored as ints; coeff() reads Fractions
+    p = SymbolPoly(SP_SYMS, {(0, 1): F(6, 3), (1, 0): F(1, 2)})
+    assert p.terms == {(0, 1): 2, (1, 0): F(1, 2)}
+    assert type(p.terms[(0, 1)]) is int
+    assert type(p.coeff(x=1)) is F and type(p.coeff()) is F
+    assert repr(p) == "2*x^1 + 1/2*N^1"
+
+
 def test_rat_codec_roundtrip():
     for q in [F(0), F(3), F(-9, 8), F(22, 7)]:
         assert rat_parse(rat_str(q)) == q
