@@ -19,7 +19,6 @@ finished map.
 
 import random
 from itertools import accumulate, combinations, product
-from operator import eq
 
 from .wick_fatgraphs import CombinatorialMap, TooLarge
 
@@ -47,37 +46,41 @@ class NotWellLabeled(ValueError):
 # ("V", (c0, c1, c2)) inner 4-valent vertex seen from its parent
 
 
-def blossom_charge(t):
-    if t[0] == "W":
-        return 1
-    if t[0] == "B":
-        return -1
-    return sum(blossom_charge(c) for c in t[1])
-
-
 def check_blossom(t):
     """Quartic blossom invariants: one black leaf per vertex and every
-    subtree not reduced to a black leaf carries charge +1."""
+    subtree not reduced to a black leaf carries charge +1 (white leaves
+    count +1, black leaves -1)."""
     if t[0] == "B":
         raise NotBlossom("root slot cannot be a black leaf")
-
-    def rec(node):
-        if node[0] != "V":
-            return
+    if t[0] != "V":
+        return
+    # the inner vertices in preorder with their parents' positions; a leaf
+    # adds its charge to its parent
+    inner, up, charge = [], [], []
+    stack = [(t, -1)]
+    while stack:
+        node, p = stack.pop()
+        if node[0] == "V":
+            up.append(p)
+            charge.append(0)
+            inner.append(node)
+            p = len(inner) - 1
+            stack.extend((c, p) for c in reversed(node[1]))
+        else:
+            charge[p] += 1 if node[0] == "W" else -1
+    # children come after their parents in preorder
+    for i in range(len(inner) - 1, 0, -1):
+        charge[up[i]] += charge[i]
+    if charge[0] != 1:
+        raise NotBlossom("total charge must be +1")
+    for i, node in enumerate(inner):
+        if i and charge[i] != 1:
+            raise NotBlossom("subtree charge must be +1")
         children = node[1]
         if len(children) != 3:
             raise NotBlossom("inner vertices must be 4-valent")
         if sum(1 for c in children if c[0] == "B") != 1:
             raise NotBlossom("each vertex needs exactly one black leaf")
-        for c in children:
-            if c[0] == "V":
-                if blossom_charge(c) != 1:
-                    raise NotBlossom("subtree charge must be +1")
-                rec(c)
-
-    if blossom_charge(t) != 1:
-        raise NotBlossom("total charge must be +1")
-    rec(t)
 
 
 def enumerate_blossom_trees(n_vertices):
@@ -132,76 +135,56 @@ def _compositions(total, parts):
 
 def _match_cyclic(colors):
     """Match each black leaf with the next unmatched white leaf in cyclic
-    order; returns (pairs, index of the lone white leaf)."""
-    n = len(colors)
-    partner = [None] * n
-    pairs = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if colors[i] != "B" or partner[i] is not None:
-                continue
-            j = (i + 1) % n
-            while j != i and partner[j] is not None:
-                j = (j + 1) % n
-            if j != i and colors[j] == "W":
-                partner[i], partner[j] = j, i
-                pairs.append((i, j))
-                changed = True
-    lone = [i for i in range(n) if colors[i] == "W" and partner[i] is None]
-    unmatched_black = any(colors[i] == "B" and partner[i] is None
-                          for i in range(n))
-    if len(lone) != 1 or unmatched_black:
+    order; returns (pairs, index of the lone white leaf).  One stack pass:
+    a white leaf closes the latest open black leaf.  On the second turn of
+    the cyclic word, the whites left unmatched, all before the first black
+    still open, close those blacks, the latest first."""
+    pairs, blacks, whites = [], [], []
+    for i, c in enumerate(colors):
+        if c == "B":
+            blacks.append(i)
+        elif blacks:
+            pairs.append((blacks.pop(), i))
+        else:
+            whites.append(i)
+    if len(whites) != len(blacks) + 1:
         raise NotBlossom("leaf matching failed")
-    return pairs, lone[0]
+    pairs.extend(zip(reversed(blacks), whites))
+    return pairs, whites[-1]
 
 
 def blossom_close(t):
     """Blossom tree -> two-leg 4-valent planar map (root dart on out-leg)."""
     check_blossom(t)
-    sigma_cycles = []
-    alpha_pairs = []
-    counter = [0]
-
-    def new_dart():
-        counter[0] += 1
-        return counter[0] - 1
-
-    leaf_darts = []
-    leaf_colors = []
-
-    def build(node, parent_dart):
-        if node[0] in ("W", "B"):
+    # darts in preorder: the out-leg 0, then per inner vertex the dart
+    # toward its parent and one dart per child, in rotation order; the
+    # in-leg comes last
+    sigma, alpha = [0], [0]
+    leaf_darts, leaf_colors = [], []
+    stack = [(t, 0)]
+    while stack:
+        node, parent_dart = stack.pop()
+        if node[0] != "V":
+            # leaves come in contour order starting from the root slot
             leaf_darts.append(parent_dart)
             leaf_colors.append(node[0])
-            return
-        top = new_dart()
-        kid_darts = [new_dart() for _ in node[1]]
-        sigma_cycles.append([top] + kid_darts)
-        alpha_pairs.append((parent_dart, top))
-        for kd, child in zip(kid_darts, node[1]):
-            build(child, kd)
-
-    root_dart = new_dart()
-    sigma_cycles.append([root_dart])
-    build(t, root_dart)
-    # build records leaves in contour order starting from the root slot
+            continue
+        top = len(sigma)
+        k = len(node[1])
+        sigma.extend(range(top + 1, top + k + 1))
+        sigma.append(top)
+        alpha.extend([0] * (k + 1))
+        alpha[parent_dart], alpha[top] = top, parent_dart
+        stack.extend(zip(reversed(node[1]), range(top + k, top, -1)))
     pairs, lone = _match_cyclic(leaf_colors)
     for i, j in pairs:
-        alpha_pairs.append((leaf_darts[i], leaf_darts[j]))
-    in_dart = new_dart()
-    sigma_cycles.append([in_dart])
-    alpha_pairs.append((leaf_darts[lone], in_dart))
-    n = counter[0]
-    sigma = [0] * n
-    for cyc in sigma_cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            sigma[a] = b
-    alpha = [0] * n
-    for a, b in alpha_pairs:
+        a, b = leaf_darts[i], leaf_darts[j]
         alpha[a], alpha[b] = b, a
-    m = CombinatorialMap(sigma, alpha, root=root_dart)
+    in_dart = len(sigma)
+    sigma.append(in_dart)
+    alpha.append(leaf_darts[lone])
+    alpha[leaf_darts[lone]] = in_dart
+    m = CombinatorialMap(sigma, alpha, root=0)
     check_two_leg(m)
     return m
 
@@ -226,6 +209,14 @@ def check_two_leg(m):
     return verts
 
 
+def _after(sigma, e):
+    """The darts after e around its vertex, e excluded."""
+    d = sigma[e]
+    while d != e:
+        yield d
+        d = sigma[d]
+
+
 def blossom_cut(m):
     """Two-leg map -> blossom tree; inverse of blossom_close.
 
@@ -233,80 +224,56 @@ def blossom_cut(m):
     cutting every non-bridge edge into a black stub (side met first) and a
     white stub, until only a tree remains."""
     verts = check_two_leg(m)
-    sigma = list(m.sigma)
-    alpha = list(m.alpha)
-    root_dart = m.root
+    sigma, alpha, root_dart = m.sigma, m.alpha, m.root
     legs = [v[0] for v in verts if len(v) == 1]
     in_dart = [d for d in legs if d != root_dart][0]
-    color = {}
     leg_like = {in_dart, root_dart}
+    stub = [None] * len(sigma)  # the colour of the stub a cut leaves at d
+    outer = [False] * len(sigma)  # d lies on the external face
+    walk = []
 
-    def is_bridge(d):
-        e = alpha[d]
-        seen = {d}
-        stack = [d]
-        while stack:
-            x = stack.pop()
-            nbrs = [sigma[x]]
-            if x != d and x != e:
-                nbrs.append(alpha[x])
-            for y in nbrs:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return e not in seen
-
-    def cut(d):
-        e = alpha[d]
-        x, y = len(sigma), len(sigma) + 1
-        sigma.extend([x, y])
-        alpha[d] = x
-        alpha.append(d)
-        alpha[e] = y
-        alpha.append(e)
-        color[x] = "B"
-        color[y] = "W"
-
-    def cuttable(d):
-        e = alpha[d]
-        if d in color or e in color or d in leg_like or e in leg_like:
-            return False
-        return not is_bridge(d)
-
-    def external_face():
-        face = [in_dart]
-        d = sigma[alpha[in_dart]]
-        while d != in_dart:
-            face.append(d)
+    def join(d):
+        # d's face joins the external face, walked from d round
+        while not outer[d]:
+            outer[d] = True
+            walk.append(d)
             d = sigma[alpha[d]]
-        return face
 
-    # pass by pass: only edges bordering the external face at the start of
-    # the pass are candidates; each cut merges the adjacent face in
-    while True:
-        any_cut = False
-        for d in external_face():
-            if cuttable(d):
-                cut(d)
-                any_cut = True
-        if not any_cut:
-            break
-
-    def node_from(d):
-        # d points along a surviving edge toward the node being built
+    # The map is planar, so an edge of the external face is a bridge exactly
+    # when the external face lies on its other side too.  Cutting d's edge
+    # merges the face across it into the external face, where its darts
+    # follow d, from sigma[d] round to d's partner.  A dart passed over is
+    # never cut later, since the external face only grows, so one walk over
+    # the darts in the order they join makes the cuts of the pass-by-pass
+    # walk round the whole external face, in the same order.
+    join(in_dart)
+    for d in walk:
         e = alpha[d]
-        if e in color:
-            return (color[e],)
-        if e == in_dart:
-            return ("W",)
-        kids = []
-        x = sigma[e]
-        while x != e:
-            kids.append(node_from(x))
-            x = sigma[x]
-        return ("V", tuple(kids))
+        if stub[d] or d in leg_like or e in leg_like or outer[e]:
+            continue
+        stub[d], stub[e] = "B", "W"
+        join(sigma[d])
 
-    t = node_from(root_dart)
+    # rebuild the tree from the root dart, each vertex seen from the dart
+    # that points toward it along a surviving edge
+    top = []
+    stack = [(top, iter((root_dart,)))]
+    while stack:
+        kids, darts = stack[-1]
+        for d in darts:
+            e = alpha[d]
+            if stub[d]:
+                kids.append((stub[d],))
+            elif e == in_dart:
+                kids.append(("W",))
+            else:
+                stack.append(([], _after(sigma, e)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                stack[-1][0].append(("V", tuple(kids)))
+    t = top[0]
     check_blossom(t)
     return t
 
@@ -387,8 +354,9 @@ def enumerate_well_labeled(n_edges, root_label=0):
 
 
 def check_quadrangulation(m):
-    """Rooted, connected, planar, bipartite, every face of degree 4;
-    returns (faces, dist) with dist as _bfs gives it."""
+    """Rooted, connected, planar, every face of degree 4; returns (faces,
+    dist) with dist as _bfs gives it.  A connected planar map whose faces
+    all have even degree is bipartite, so none is checked."""
     if m.root is None:
         raise NotQuadrangulation("a root dart is required")
     dist, queue = _bfs(m)
@@ -401,8 +369,6 @@ def check_quadrangulation(m):
     for f in faces:
         if len(f) != 4:
             raise NotQuadrangulation("all faces must have degree 4")
-    if any(map(eq, dist, map(dist.__getitem__, m.alpha))):
-        raise NotQuadrangulation("quadrangulations are bipartite")
     return faces, dist
 
 
@@ -410,14 +376,13 @@ def cvs_forward(m):
     """Rooted quadrangulation -> well-labeled tree (root label 0)."""
     faces, dist = check_quadrangulation(m)
     # one new edge per face, joining the two corners preceded around the
-    # face by a corner with a label one less
+    # face by a corner with a label one less.  Every edge of the bipartite
+    # map changes the distance by exactly 1, so the four steps around a
+    # face are two +1 and two -1, and exactly two corners are marked.
     anchor = {}
     for face in faces:
-        marked = [d for i, d in enumerate(face)
-                  if dist[face[i - 1]] == dist[d] - 1]
-        if len(marked) != 2:
-            raise NotQuadrangulation("face with a bad label pattern")
-        a, b = marked
+        a, b = [d for i, d in enumerate(face)
+                if dist[face[i - 1]] == dist[d] - 1]
         anchor[a] = b
         anchor[b] = a
     sigma = m.sigma
@@ -626,25 +591,23 @@ def random_plane_tree(A, rng):
     return tuple(stack[0])
 
 
-def _label_shape(shape, rng):
-    """Root label 0 and iid uniform {-1,0,+1} edge increments, drawn in
-    preorder; None as soon as a label would go negative."""
+def _labeled_tree(A, rng):
+    """A uniform plane tree with A edges, root label 0 and iid uniform
+    {-1,0,+1} edge increments drawn in preorder, as a nested (label, kids)
+    tree; None as soon as a label goes negative."""
     choice = rng.choice
-    stack = [(0, [], iter(shape))]
-    while True:
-        lab, kids, rest = stack[-1]
-        c = next(rest, None)
-        if c is not None:
-            nl = lab + choice((-1, 0, 1))
-            if nl < 0:
+    stack = [(0, [])]
+    for s in _tree_steps(A, rng):
+        if s > 0:
+            lab = stack[-1][0] + choice((-1, 0, 1))
+            if lab < 0:
                 return None
-            stack.append((nl, [], iter(c)))
+            stack.append((lab, []))
         else:
-            stack.pop()
-            node = (lab, tuple(kids))
-            if not stack:
-                return node
-            stack[-1][1].append(node)
+            lab, kids = stack.pop()
+            stack[-1][1].append((lab, tuple(kids)))
+    lab, kids = stack[0]
+    return (lab, tuple(kids))
 
 
 def sample_well_labeled_tree(A, seed, index=0):
@@ -653,7 +616,7 @@ def sample_well_labeled_tree(A, seed, index=0):
     tries = 0
     while True:
         tries += 1
-        t = _label_shape(random_plane_tree(A, rng), rng)
+        t = _labeled_tree(A, rng)
         if t is not None:
             return t, tries
 
@@ -670,7 +633,7 @@ def _free_contour(A, rng):
     """A uniform plane tree with A edges and free labels, flat: returns
     (vid, vlab) with vid as in _tree_contour and vlab[v] the label of
     vertex v.  The root has label 0 and each edge an iid uniform increment
-    in {-1,0,+1}, drawn in preorder, as _label_shape draws them."""
+    in {-1,0,+1}, drawn in preorder, as _labeled_tree draws them."""
     path = _tree_steps(A, rng)
     choice = rng.choice
     vid = [0] * len(path)
@@ -749,7 +712,7 @@ def acceptance_stats(A, seed, proposals):
     rng = _rng(seed, 0)
     ok = 0
     for _ in range(proposals):
-        if _label_shape(random_plane_tree(A, rng), rng) is not None:
+        if _labeled_tree(A, rng) is not None:
             ok += 1
     return ok
 

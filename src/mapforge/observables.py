@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import acos, comb, copysign, cos, pi, sqrt
 from sys import float_info
 
-from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
+from .series_core import (SymbolPoly, TruncSeries, exact_fraction,
+                          fixed_point_solve)
 from .planar_onecut import unit_quartic_solution
 from .geodesic import _quartic_area_terms, integral_of_motion
 from .bijections import (_free_contour, _rng, distance_profile,
@@ -147,18 +148,18 @@ def weighted_Zn_solve(k, order):
 
 def weighted_Rn_solve(rho, sigma, order):
     """R_n = Z_n / sigma_n for explicit rational weights rho, sigma
-    (sequences over p = 0..k)."""
+    (sequences over p = 0..k); a float weight is refused."""
     k = len(rho) - 1
     if len(sigma) != k + 1:
         raise ValueError("rho and sigma must have the same length")
     zs = weighted_Zn_solve(k, order)
     values = {}
     for p in range(k + 1):
-        values["rho%d" % p] = Fraction(rho[p])
-        values["sigma%d" % p] = Fraction(sigma[p])
+        values["rho%d" % p] = exact_fraction(rho[p])
+        values["sigma%d" % p] = exact_fraction(sigma[p])
     out = {}
     for n, series in zs.items():
-        s = Fraction(sigma[n]) if n <= k else Fraction(1)
+        s = values["sigma%d" % n] if n <= k else Fraction(1)
         if s == 0:
             raise ValueError("sigma weights must be nonzero")
         out[n] = series.map_coeffs(lambda c: c.subs(**values) / s)

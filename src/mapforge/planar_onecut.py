@@ -17,7 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, pi, sqrt as fsqrt
 
-from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
+from .series_core import (SymbolPoly, TruncSeries, exact_fraction,
+                          fixed_point_solve)
 
 
 class EvenOnly(ValueError):
@@ -29,11 +30,12 @@ class OutOfOneCut(ValueError):
 
 
 class Potential:
-    """Couplings valence -> Fraction; V(x) = x^2/2 - sum g_i x^i/i."""
+    """Couplings valence -> Fraction; V(x) = x^2/2 - sum g_i x^i/i.  A
+    float coupling is refused."""
 
     def __init__(self, couplings):
-        self.couplings = {int(v): Fraction(c) for v, c in couplings.items()
-                          if c != 0}
+        self.couplings = {int(v): exact_fraction(c)
+                          for v, c in couplings.items() if c != 0}
         for v in self.couplings:
             if v < 1:
                 raise ValueError("valence must be >= 1")

@@ -34,6 +34,14 @@ def rat_str(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
+def exact_fraction(x):
+    """Fraction(x) for an exact number; a float is refused, since its
+    binary fraction is seldom the number meant (0.1 is not 1/10)."""
+    if isinstance(x, float):
+        raise TypeError("float %r is not exact" % (x,))
+    return Fraction(x)
+
+
 def rat_parse(s):
     try:
         return Fraction(s)
@@ -60,9 +68,7 @@ class SymbolPoly:
         clean = {}
         for expo, c in terms.items():
             if type(c) is not int:
-                if isinstance(c, float):
-                    raise TypeError("float coefficient %r" % (c,))
-                c = Fraction(c)
+                c = exact_fraction(c)
                 if c.denominator == 1:
                     c = c.numerator
             if c == 0:
@@ -273,6 +279,8 @@ class SymbolPoly:
 def _as_coeff(c):
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
+    if isinstance(c, float):
+        raise TypeError("float %r is not exact" % (c,))
     return c
 
 

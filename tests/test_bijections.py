@@ -1,7 +1,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction as F
-from itertools import product
+from itertools import accumulate, product
 from math import sqrt
 
 import pytest
@@ -16,13 +16,13 @@ from mapforge.wick_fatgraphs import CombinatorialMap
 from mapforge.bijections import (
     NotBlossom, NotQuadrangulation, NotTwoLeg, NotWellLabeled, TooLarge,
     acceptance_stats, blossom_close, blossom_cut, canonical_form,
-    check_quadrangulation, check_two_leg, check_well_labeled, cvs_forward,
-    cvs_inverse, distance_profile,
+    check_blossom, check_quadrangulation, check_two_leg, check_well_labeled,
+    cvs_forward, cvs_inverse, distance_profile,
     enumerate_blossom_trees, enumerate_even_blossom_trees,
     enumerate_quadrangulations, enumerate_well_labeled,
     pointed_quadrangulation, sample_quadrangulation,
     sample_quadrangulation_uniform, sample_well_labeled_tree,
-    tree_label_profile, _rng, random_plane_tree,
+    tree_label_profile, _match_cyclic, _rng, random_plane_tree,
 )
 
 from map_oracles import vertex_bfs
@@ -225,30 +225,12 @@ LOOP = ([1, 0], [1, 0])
 PATH = ([0, 2, 1, 3], [1, 0, 3, 2])
 
 
-class _FourFaced(CombinatorialMap):
-    """Reports darts 4i..4i+3 as face i, whatever sigma and alpha say.  A
-    planar map whose faces all have even degree is bipartite, so no honest
-    map reaches the bipartite check of check_quadrangulation."""
-
-    __slots__ = ()
-
-    def faces(self):
-        return [list(range(i, i + 4)) for i in range(0, self.n_darts, 4)]
-
-
-# a triangle a, b, c with a pendant edge c - d: V = 4, E = 4, and two
-# reported faces make it look planar
-TRIANGLE_AND_EDGE = ([1, 0, 3, 2, 5, 6, 4, 7], [2, 4, 0, 5, 1, 3, 7, 6])
-
-
 @pytest.mark.parametrize("m, message", [
     (CombinatorialMap(*EDGE), "a root dart is required"),
     (CombinatorialMap(*TWO_EDGES, root=0), "map not connected"),
     (CombinatorialMap(*TORUS, root=0), "map not planar"),
     (CombinatorialMap(*EDGE, root=0), "all faces must have degree 4"),
-    (_FourFaced(*TRIANGLE_AND_EDGE, root=0),
-     "quadrangulations are bipartite"),
-], ids=["no-root", "disconnected", "torus", "edge", "odd-cycle"])
+], ids=["no-root", "disconnected", "torus", "edge"])
 def test_check_quadrangulation_messages(m, message):
     with pytest.raises(NotQuadrangulation) as err:
         check_quadrangulation(m)
@@ -267,6 +249,26 @@ def test_check_two_leg_messages(m, message):
     with pytest.raises(NotTwoLeg) as err:
         check_two_leg(m)
     assert type(err.value) is NotTwoLeg
+    assert str(err.value) == message
+
+
+W, B = ("W",), ("B",)
+
+
+@pytest.mark.parametrize("t, message", [
+    (B, "root slot cannot be a black leaf"),
+    (("V", (W, W, W)), "total charge must be +1"),
+    (("V", (W,)), "inner vertices must be 4-valent"),
+    (("V", (B, B, ("V", (W, W, W)))),
+     "each vertex needs exactly one black leaf"),
+    (("V", (B, ("V", (W, W, W)), ("V", (B, B, W)))),
+     "subtree charge must be +1"),
+], ids=["black-root", "total-charge", "valence", "black-leaves",
+        "subtree-charge"])
+def test_check_blossom_messages(t, message):
+    with pytest.raises(NotBlossom) as err:
+        check_blossom(t)
+    assert type(err.value) is NotBlossom
     assert str(err.value) == message
 
 # ---------------------------------------------------------------------------
@@ -437,3 +439,203 @@ def test_cvs_round_trip_of_a_1e5_edge_path():
     # nested tuples this deep cannot be compared with ==, which recurses
     assert _shape_and_labels(back) == _shape_and_labels(t)
     assert tree_label_profile(back) == {lab: 1 for lab in range(A + 1)}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the blossom bijection the one-walk code replaced, kept here as an
+# independent check.  Leaves are matched by a fixed-point loop, the map is
+# built recursively, and the cut runs pass by pass over the whole external
+# face with a fresh bridge search for every candidate edge.
+
+
+def _oracle_match_cyclic(colors):
+    n = len(colors)
+    partner = [None] * n
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            if colors[i] != "B" or partner[i] is not None:
+                continue
+            j = (i + 1) % n
+            while j != i and partner[j] is not None:
+                j = (j + 1) % n
+            if j != i and colors[j] == "W":
+                partner[i], partner[j] = j, i
+                changed = True
+    lone = [i for i in range(n) if colors[i] == "W" and partner[i] is None]
+    if len(lone) != 1 or any(colors[i] == "B" and partner[i] is None
+                             for i in range(n)):
+        raise NotBlossom("leaf matching failed")
+    return {(i, j) for i, j in enumerate(partner) if colors[i] == "B"}, lone[0]
+
+
+def _oracle_blossom_close(t):
+    sigma_cycles, alpha_pairs, leaf_darts, leaf_colors = [], [], [], []
+    counter = [0]
+
+    def new_dart():
+        counter[0] += 1
+        return counter[0] - 1
+
+    def build(node, parent_dart):
+        if node[0] in ("W", "B"):
+            leaf_darts.append(parent_dart)
+            leaf_colors.append(node[0])
+            return
+        top = new_dart()
+        kid_darts = [new_dart() for _ in node[1]]
+        sigma_cycles.append([top] + kid_darts)
+        alpha_pairs.append((parent_dart, top))
+        for kd, child in zip(kid_darts, node[1]):
+            build(child, kd)
+
+    root_dart = new_dart()
+    sigma_cycles.append([root_dart])
+    build(t, root_dart)
+    pairs, lone = _oracle_match_cyclic(leaf_colors)
+    for i, j in pairs:
+        alpha_pairs.append((leaf_darts[i], leaf_darts[j]))
+    in_dart = new_dart()
+    sigma_cycles.append([in_dart])
+    alpha_pairs.append((leaf_darts[lone], in_dart))
+    sigma = [0] * counter[0]
+    for cyc in sigma_cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            sigma[a] = b
+    alpha = [0] * counter[0]
+    for a, b in alpha_pairs:
+        alpha[a], alpha[b] = b, a
+    return tuple(sigma), tuple(alpha), root_dart
+
+
+def _oracle_blossom_cut(m):
+    sigma, alpha, root_dart = list(m.sigma), list(m.alpha), m.root
+    in_dart = [v[0] for v in m.vertices()
+               if len(v) == 1 and v[0] != root_dart][0]
+    color = {}
+    leg_like = {in_dart, root_dart}
+
+    def is_bridge(d):
+        e = alpha[d]
+        seen = {d}
+        stack = [d]
+        while stack:
+            x = stack.pop()
+            for y in [sigma[x]] + ([alpha[x]] if x not in (d, e) else []):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        return e not in seen
+
+    def external_face():
+        face = [in_dart]
+        d = sigma[alpha[in_dart]]
+        while d != in_dart:
+            face.append(d)
+            d = sigma[alpha[d]]
+        return face
+
+    any_cut = True
+    while any_cut:
+        any_cut = False
+        for d in external_face():
+            e = alpha[d]
+            if d in color or e in color or d in leg_like or e in leg_like \
+                    or is_bridge(d):
+                continue
+            x, y = len(sigma), len(sigma) + 1
+            sigma.extend([x, y])
+            alpha[d], alpha[e] = x, y
+            alpha.extend([d, e])
+            color[x], color[y] = "B", "W"
+            any_cut = True
+
+    def node_from(d):
+        e = alpha[d]
+        if e in color:
+            return (color[e],)
+        if e == in_dart:
+            return ("W",)
+        kids = []
+        x = sigma[e]
+        while x != e:
+            kids.append(node_from(x))
+            x = sigma[x]
+        return ("V", tuple(kids))
+
+    return node_from(root_dart)
+
+
+def _random_blossom_tree(A, rng):
+    """A uniform quartic blossom tree with A inner vertices, built without
+    recursion: a binary tree from its preorder arity word (cycle lemma),
+    with each vertex's black leaf in a uniform one of its three slots."""
+    word = [2] * A + [0] * (A + 1)
+    rng.shuffle(word)
+    heights = list(accumulate(a - 1 for a in word))
+    start = (heights.index(min(heights)) + 1) % len(word)
+    # read the preorder word backwards: the stack's top is the first child
+    stack = []
+    for a in reversed(word[start:] + word[:start]):
+        if a == 0:
+            stack.append(("W",))
+        else:
+            kids = [stack.pop(), stack.pop()]
+            kids.insert(rng.randrange(3), ("B",))
+            stack.append(("V", tuple(kids)))
+    return stack[0]
+
+
+def _blossom_preorder(t):
+    # (tag, number of children) in preorder determines a blossom tree
+    out = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        kids = node[1] if node[0] == "V" else ()
+        out.append((node[0], len(kids)))
+        stack.extend(reversed(kids))
+    return out
+
+
+def test_match_cyclic_matches_fixed_point_oracle():
+    for n in range(11):
+        for colors in product("BW", repeat=n):
+            try:
+                expected = _oracle_match_cyclic(colors)
+            except NotBlossom:
+                with pytest.raises(NotBlossom, match="leaf matching failed"):
+                    _match_cyclic(colors)
+                continue
+            pairs, lone = _match_cyclic(colors)
+            assert (set(pairs), lone) == expected
+            assert len(pairs) == len(expected[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+def test_blossom_bijection_matches_oracle(A, seed):
+    t = _random_blossom_tree(A, _rng(seed, 0))
+    m = blossom_close(t)
+    assert (m.sigma, m.alpha, m.root) == _oracle_blossom_close(t)
+    assert blossom_cut(m) == _oracle_blossom_cut(m) == t
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(50, 500), st.integers(0, 2 ** 32 - 1))
+def test_blossom_round_trip_beyond_enumeration(A, seed):
+    t = _random_blossom_tree(A, _rng(seed, 0))
+    assert blossom_cut(blossom_close(t)) == t
+
+
+def test_blossom_round_trip_of_a_depth_3000_caterpillar():
+    assert sys.getrecursionlimit() == RECURSION_LIMIT
+    # each vertex hangs the next one between its black and white leaves
+    t = ("W",)
+    for _ in range(3000):
+        t = ("V", (("B",), t, ("W",)))
+    m = blossom_close(t)
+    assert m.n_darts == 4 * 3000 + 2
+    # nested tuples this deep cannot be compared with ==, which recurses
+    assert _blossom_preorder(blossom_cut(m)) == _blossom_preorder(t)

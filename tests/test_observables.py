@@ -313,3 +313,12 @@ def test_mc_profile_methods_agree():
     for n in (1, 2):
         diff = abs(a[n][0] - b[n][0])
         assert diff < 4 * sqrt(a[n][1] ** 2 + b[n][1] ** 2)
+
+
+def test_weighted_Rn_solve_refuses_float_weights():
+    with pytest.raises(TypeError):
+        weighted_Rn_solve([0.1], [1], 1)
+    with pytest.raises(TypeError):
+        weighted_Rn_solve([1], [0.5], 1)
+    assert weighted_Rn_solve(["0.1"], [1], 2) \
+        == weighted_Rn_solve([F(1, 10)], [F(1)], 2)

@@ -272,3 +272,10 @@ def test_path_sum_counts_without_weights():
         assert path_sum(walled, None, 0, 0, 2 * n, 2) == catalan(n)
     assert path_sum(walled, None, 3, 7, 4, 2) == 1
     assert path_sum(one, None, 0, 0, 7, 2).is_zero()
+
+
+def test_potential_refuses_float_couplings():
+    with pytest.raises(TypeError):
+        Potential({4: 0.1})
+    # a decimal string is read as written
+    assert Potential({4: "0.1", 3: 1}).couplings == {4: F(1, 10), 3: F(1)}

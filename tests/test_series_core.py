@@ -308,3 +308,11 @@ def test_rat_codec_roundtrip():
 
 def test_serialization_strings():
     assert S([F(0), F(1, 2), F(9, 8)]).to_strings() == ["0", "1/2", "9/8"]
+
+
+def test_series_refuses_float_coefficients():
+    with pytest.raises(TypeError):
+        S([1, 0.5])
+    with pytest.raises(TypeError):
+        S([1, 1]) * 0.5
+    assert S([1, F(1, 2)]).coeffs == [F(1), F(1, 2)]
