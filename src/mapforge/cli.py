@@ -21,9 +21,8 @@ from .series_core import TruncSeries, rat_str, rat_parse
 from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, quartic_solution,
                             planar_free_energy, gamma_two_sameface)
 from .wick_fatgraphs import TooLarge, connected_free_energy_F, genus_split
-from .ortho_genus import (IncreaseM, NoPhysicalRoot, DegenerateMeasure,
-                          StructureViolation, exact_free_energy_FN,
-                          genus_extract)
+from .ortho_genus import (NoPhysicalRoot, StructureViolation,
+                          exact_free_energy_FN, genus_extract)
 from .string_eq import DeepenCutoff, AlgebraBug, kdv_residues, commutator_check
 from .geodesic import (DomainError, exact_Rn_quartic, integral_of_motion,
                        scaling_F, scaling_G, discrete_to_continuum_check)
@@ -38,8 +37,7 @@ from .branching import (OutOfRange, BranchingConfig, simulate_extinction,
 # left its validity region, an internal identity failed, or it ran out of
 # stack or memory
 NUMERIC_ERRORS = (OutOfOneCut, OutOfRange, BranchError, DomainError,
-                  NoPhysicalRoot, IncreaseM, DegenerateMeasure,
-                  StructureViolation, DeepenCutoff, AlgebraBug,
+                  NoPhysicalRoot, StructureViolation, DeepenCutoff, AlgebraBug,
                   IntegrationObstruction, EvenOnly, RecursionError,
                   MemoryError)
 

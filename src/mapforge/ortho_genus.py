@@ -1,32 +1,44 @@
 """All-genus free energy via orthogonal polynomials.
 
-The squared norms h_m of the monic orthogonal polynomials for the measure
-exp(-N V(x)) dx are computed exactly as ratios of Hankel determinants of
-the moments, with N carried as a Laurent symbol.  The free energy is the
-normalized log ratio against the Gaussian measure,
+The monic orthogonal polynomials for the measure exp(-N V(x)) dx obey
+x p_m = p_{m+1} + s_m p_m + r_m p_{m-1}, and the free energy is the
+normalized log ratio of their squared norms h_m = r_m h_{m-1} against the
+Gaussian measure,
 
     F = sum_{m=0}^{N-1} log(h_m / h_m^0)
-      = N log(h_0/h_0^0) + sum_{m=1}^{N-1} (N-m) log(N r_m / m),
+      = N log(h_0/h_0^0) + sum_{m=1}^{N-1} (N-m) log(N r_m / m).
 
-and the upper limit N is handled symbolically: at each g-order the
-summand is a polynomial in m (checked by stabilization between window
-sizes M and M+1).  Its forward differences at m = 1 write it in the
-binomial basis C(m-1, d), where sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2)
-does the sum in one step.  The ratios r_m solve the string equation
-m/N = <m-1|V'(Q)|m>, Q carrying weight r_p per down step from height p
-and a wall at 0; string_recursion_residual checks it through
-planar_onecut.path_sum.
+The ratios solve the string equations m/N = <m-1|V'(Q)|m> and
+0 = <m|V'(Q)|m>, Q carrying weight r_p per down step and s_p per level
+step from height p.  exact_free_energy_FN solves them for r and s as
+series in g whose coefficients are polynomials in m (and Laurent in N),
+reading the matrix elements through planar_onecut.path_sum with heights
+as offsets from m.  No wall at height 0 is needed: at m = 0 every term of
+the equation for r carries r(0), so r(0) = 0 as a series and the
+polynomial solution is the walled one at every m >= 1.  The upper limit N
+of the sum is handled symbolically: at each g-order the summand
+log(N r_m/m) is a polynomial in m, its forward differences at m = 1 write
+it in the binomial basis C(m-1, d), and
+sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2) does the sum in one step.
+
+hankel_free_energy_FN is the independent oracle that tests check the
+production route against: it reads h_m as ratios of Hankel determinants of
+the moments, at integer m, and checks polynomiality in m over two window
+sizes; string_recursion_residual checks its r_m against the string
+equation with a wall at 0.
 """
 
 from fractions import Fraction
 from math import comb, factorial
 
-from .series_core import SymbolPoly, TruncSeries
+from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import EvenOnly, Potential, path_sum, solve_one_cut
 from .wick_fatgraphs import vertex_profiles
 
 NSYM = ("N",)
 NLAU = ("N",)
+# coefficients of the string-equation unknowns: polynomial in m, Laurent in N
+MN = ("m", "N")
 
 
 class IncreaseM(RuntimeError):
@@ -64,13 +76,11 @@ def _double_factorial(n):
 def moments_from_potential(couplings, order, top):
     """Moments nu_k, k = 0..top, of exp(-NV) normalized by the Gaussian.
 
-    couplings: valence -> Fraction for an even potential; each vertex
-    insertion carries one power of g and the factor N g_i / i.
-    Gaussian moments are (m-1)!! N^{-m/2}.
+    couplings: valence -> Fraction; each vertex insertion carries one
+    power of g and the factor N g_i / i.  Gaussian moments are
+    (m-1)!! N^{-m/2} for even m and vanish for odd m, so odd valences
+    contribute where the total degree is even.
     """
-    for v in couplings:
-        if v % 2:
-            raise EvenOnly("moments implemented for even potentials")
     valences = sorted(v for v in couplings if couplings[v] != 0)
     table = []
     for k in range(top + 1):
@@ -87,6 +97,161 @@ def moments_from_potential(couplings, order, top):
             coeffs[n] = coeffs[n] + pref * gauss
         table.append(TruncSeries("g", coeffs))
     return table
+
+
+def _shift_m(c, h):
+    """The coefficient c(m + h): each m^e expands binomially."""
+    if not h or not isinstance(c, SymbolPoly):
+        return c
+    terms = {}
+    for (e, n), q in c.terms.items():
+        for j in range(e + 1):
+            key = (j, n)
+            terms[key] = terms.get(key, 0) + comb(e, j) * h ** (e - j) * q
+    return SymbolPoly(MN, terms, NLAU)
+
+
+def _divide_by_m(c):
+    """c/m for a coefficient that vanishes at m = 0."""
+    if not isinstance(c, SymbolPoly):
+        assert c == 0, "constant term %r in a multiple of m" % (c,)
+        return c
+    terms = {}
+    for (e, n), q in c.terms.items():
+        assert e > 0, "negative m exponent in log(N r/m)"
+        terms[(e - 1, n)] = q
+    return SymbolPoly(MN, terms, NLAU)
+
+
+def string_equation_ratios(couplings, order):
+    """(r, s) solving r(m) = m/N + g sum_v g_v <m-1|Q^{v-1}|m> and
+    s(m) = g sum_v g_v <m|Q^{v-1}|m>, series in g whose coefficients are
+    polynomials in m, Laurent in N.
+
+    The path sums run at heights offset from m, a down step from h
+    weighing r(m+h) and a level step s(m+h), with no wall; each shift is
+    built once per pass.  s vanishes for even potentials.
+    """
+    V = Potential(couplings)
+    even = V.is_even()
+    g = TruncSeries.gen("g", order)
+    m_over_N = SymbolPoly(MN, {(1, -1): 1}, NLAU)
+
+    def equation(X):
+        def shifted(series):
+            cache = {}
+
+            def at(h):
+                if h not in cache:
+                    cache[h] = series.map_coeffs(lambda c: _shift_m(c, h))
+                return cache[h]
+            return at
+
+        down = shifted(X[0])
+        level = None if even else shifted(X[1])
+        newR, newS = m_over_N, 0
+        for v, gi in V.couplings.items():
+            newR = newR + g * gi * path_sum(down, level, 0, -1, v - 1, order)
+            if not even:
+                newS = newS + g * gi * path_sum(down, level, 0, 0, v - 1,
+                                                order)
+        return newR, newS
+
+    return fixed_point_solve(equation, (m_over_N, 0), order)
+
+
+def exact_free_energy_FN(couplings, order):
+    """F_N = log(Z_N(V)/Z_N(V0)) as a series in g, Laurent polynomial in N.
+
+    The summand log(N r_m/m) comes from string_equation_ratios as a
+    polynomial in m at each g-order, and its sum to N-1 is done
+    symbolically from its forward differences at m = 1.
+    """
+    couplings = Potential(couplings).couplings
+    r, _ = string_equation_ratios(couplings, order)
+    lam = (r * SymbolPoly(MN, {(0, 1): 1}, NLAU)).map_coeffs(
+        _divide_by_m).log()
+    gamma0 = moments_from_potential(couplings, order, 0)[0].log()
+    coeffs = [_npoly()]
+    for k in range(1, order + 1):
+        c = lam.coeffs[k]
+        if not isinstance(c, SymbolPoly):
+            c = SymbolPoly.const(MN, c, NLAU)
+        top = max(c.exponents_of("m"), default=0)
+        row = [c.subs(m=m) for m in range(1, top + 2)]
+        coeffs.append(_sum_to_N(gamma0.coeffs[k], _forward_differences(row)))
+    return TruncSeries("g", coeffs)
+
+
+def _forward_differences(row):
+    """Delta^d P(1), d = 0..len(row)-1, from row = [P(1), P(2), ...]."""
+    deltas = []
+    while row:
+        deltas.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return deltas
+
+
+def _sum_to_N(gamma0_k, deltas):
+    """N gamma0_k + sum_{m=1}^{N-1} (N-m) P(m) for the summand P with
+    forward differences deltas at m = 1.  In the Newton basis
+    P(m) = sum_d Delta^d P(1) C(m-1, d), and
+    sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2) does the sum in one step.
+    """
+    total = _N() * gamma0_k
+    for d, delta in enumerate(deltas):
+        total = total + delta * _binomial_N(d + 2)
+    return total
+
+
+def _binomial_N(j):
+    """C(N, j) = N (N-1) ... (N-j+1) / j! as a polynomial in N."""
+    out = _npoly(Fraction(1, factorial(j)))
+    for i in range(j):
+        out = out * (_N() - i)
+    return out
+
+
+# The Hankel oracle: only tests use what follows.
+
+
+def hankel_free_energy_FN(couplings, order, M=None):
+    """exact_free_energy_FN by Hankel elimination.  Only tests use it, as
+    an independent check of the string-equation route: it reads the norms
+    at integer m from Hankel determinants of the moments.
+
+    The summand log(N r_m/m), read at m = 1..M from those norms, must
+    be a polynomial in m across the window, and its sum to N-1 is done
+    symbolically; identical results for window sizes M and M+1 are
+    required, otherwise IncreaseM is raised.  Window M is a prefix of
+    window M+1, so both read one set of log ratios.
+    """
+    if M is None:
+        M = 2 * order + 6
+    if M < 3:
+        raise ValueError("window M must be >= 3, got %d" % M)
+    gamma0, lam = log_ratio_terms(couplings, order, M + 1)
+    big = _fixed_window(gamma0, lam, order, M + 1)
+    small = _fixed_window(gamma0, lam, order, M)
+    if big != small:
+        raise IncreaseM("free energy did not stabilize at window %d" % M)
+    return big
+
+
+def _fixed_window(gamma0, lam, order, M):
+    """F_N from the summands lam[1..M-1] of window M.
+
+    At g-order k the summand P(m) counts as a polynomial of degree at most
+    min(2k, M-3) when its higher forward differences at m = 1 vanish.
+    """
+    coeffs = [_npoly()]
+    for k in range(1, order + 1):
+        deltas = _forward_differences([lam[m].coeffs[k] for m in range(1, M)])
+        top = min(2 * k, M - 3)
+        if any(deltas[top + 1:]):
+            raise IncreaseM("summand not polynomial across the window")
+        coeffs.append(_sum_to_N(gamma0.coeffs[k], deltas[:top + 1]))
+    return TruncSeries("g", coeffs)
 
 
 def hankel_dets(moments, M):
@@ -157,59 +322,6 @@ def string_recursion_residual(couplings, r_window, m):
         acc = acc - g * gi * path_sum(down, None, m, m - 1, v - 1, order)
     target = TruncSeries.const("g", _N(-1) * m, order)
     return acc - target
-
-
-def exact_free_energy_FN(couplings, order, M=None):
-    """F_N = log(Z_N(V)/Z_N(V0)) as a series in g, Laurent polynomial in N.
-
-    The summand log(N r_m/m) must be a polynomial in m across the window,
-    and its sum to N-1 is done symbolically; identical results for window
-    sizes M and M+1 are required, otherwise IncreaseM is raised.  Window M
-    is a prefix of window M+1, so both read one set of log ratios.
-    """
-    if M is None:
-        M = 2 * order + 6
-    if M < 3:
-        raise ValueError("window M must be >= 3, got %d" % M)
-    gamma0, lam = log_ratio_terms(couplings, order, M + 1)
-    big = _fixed_window(gamma0, lam, order, M + 1)
-    small = _fixed_window(gamma0, lam, order, M)
-    if big != small:
-        raise IncreaseM("free energy did not stabilize at window %d" % M)
-    return big
-
-
-def _fixed_window(gamma0, lam, order, M):
-    """F_N from the summands lam[1..M-1] of window M.
-
-    At g-order k the summand P(m) counts as a polynomial of degree at most
-    min(2k, M-3) when its higher forward differences at m = 1 vanish.  In
-    the Newton basis P(m) = sum_d Delta^d P(1) C(m-1, d), and
-    sum_{m=1}^{N-1} (N-m) C(m-1, d) = C(N, d+2) does the sum in one step.
-    """
-    coeffs = [_npoly()]
-    for k in range(1, order + 1):
-        row = [lam[m].coeffs[k] for m in range(1, M)]
-        deltas = []
-        while row:
-            deltas.append(row[0])
-            row = [b - a for a, b in zip(row, row[1:])]
-        top = min(2 * k, M - 3)
-        if any(deltas[top + 1:]):
-            raise IncreaseM("summand not polynomial across the window")
-        total = _N() * gamma0.coeffs[k]
-        for d, delta in enumerate(deltas[:top + 1]):
-            total = total + delta * _binomial_N(d + 2)
-        coeffs.append(total)
-    return TruncSeries("g", coeffs)
-
-
-def _binomial_N(j):
-    """C(N, j) = N (N-1) ... (N-j+1) / j! as a polynomial in N."""
-    out = _npoly(Fraction(1, factorial(j)))
-    for i in range(j):
-        out = out * (_N() - i)
-    return out
 
 
 def genus_extract(F):

@@ -277,11 +277,16 @@ class SymbolPoly:
 
 
 def _as_coeff(c):
+    """A series coefficient: an int or Fraction as a Fraction, a SymbolPoly
+    as it is; anything else (a float, a string) is refused."""
     if isinstance(c, (int, Fraction)):
         return Fraction(c)
+    if isinstance(c, SymbolPoly):
+        return c
     if isinstance(c, float):
         raise TypeError("float %r is not exact" % (c,))
-    return c
+    raise TypeError("series coefficient %r is neither a number nor a "
+                    "SymbolPoly" % (c,))
 
 
 def _coeff_is_zero(c):

@@ -74,10 +74,10 @@ def test_03_planar_quartic_series():
 def test_04_genus_one_three_ways():
     closed = genus_one_closed_form(3)
     assert closed.coeffs == [0, F(1, 4), F(15, 8), F(33, 2)]
-    hankel = genus_extract(exact_free_energy_FN({4: F(1)}, 3))
+    ortho = genus_extract(exact_free_energy_FN({4: F(1)}, 3))
     wick = connected_free_energy_F({4: F(1)}, 3)
     for k in (1, 2, 3):
-        assert hankel[(k, 1)] == closed.coeffs[k]
+        assert ortho[(k, 1)] == closed.coeffs[k]
         assert genus_split(wick.coeffs[k])[1] == closed.coeffs[k]
 
 

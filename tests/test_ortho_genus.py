@@ -9,10 +9,10 @@ from mapforge.planar_onecut import Potential, solve_one_cut
 from mapforge import ortho_genus
 from mapforge.ortho_genus import (
     IncreaseM, NoPhysicalRoot, exact_free_energy_FN, gaussian_h,
-    genus_extract, genus_one_closed_form, hankel_dets, hankel_norms,
-    hard_dimer, moments_from_potential,
-    pure_gravity_quartic, string_recursion_residual, two_marked_faces,
-    _N, _npoly,
+    genus_extract, genus_one_closed_form, hankel_dets,
+    hankel_free_energy_FN, hankel_norms, hard_dimer, moments_from_potential,
+    pure_gravity_quartic, string_equation_ratios, string_recursion_residual,
+    two_marked_faces, _N, _npoly,
 )
 
 
@@ -30,6 +30,14 @@ def test_quartic_moment_corrections():
     mom = moments_from_potential({4: F(1)}, 2, 2)
     assert mom[0].coeffs[1] == F(1, 4) * _N() * 3 * _N(-2)
     assert mom[2].coeffs[1] == F(1, 4) * _N() * 15 * _N(-3)
+
+
+def test_odd_potential_moments():
+    # odd valences pair up where the total degree is even:
+    # nu_1 = (N g3/3) <x^4> g + O(g^2), nu_0 = 1 + (N g3/3)^2/2 <x^6> g^2
+    mom = moments_from_potential({3: F(1)}, 2, 1)
+    assert mom[1].coeffs[:2] == [0, _N(-1)]
+    assert mom[0].coeffs == [1, 0, F(1, 18) * _N(2) * 15 * _N(-3)]
 
 
 def test_gaussian_hankel_ratios():
@@ -72,22 +80,64 @@ def test_free_energy_one_elimination_per_call(monkeypatch):
             calls[_name] += 1
             return _inner(*args)
         monkeypatch.setattr(ortho_genus, name, counted)
-    exact_free_energy_FN({4: F(1)}, 2)
+    hankel_free_energy_FN({4: F(1)}, 2)
     assert calls == {"hankel_dets": 1, "log_ratio_terms": 1}
 
 
 def test_free_energy_window_stabilisation():
     # windows 3..5 are too small for order 3; from 6 on the result is final
     with pytest.raises(IncreaseM):
-        exact_free_energy_FN({4: F(1)}, 3, M=5)
-    assert exact_free_energy_FN({4: F(1)}, 3, M=6) == \
-        exact_free_energy_FN({4: F(1)}, 3)
+        hankel_free_energy_FN({4: F(1)}, 3, M=5)
+    assert hankel_free_energy_FN({4: F(1)}, 3, M=6) == \
+        hankel_free_energy_FN({4: F(1)}, 3)
 
 
 @pytest.mark.parametrize("M", [-1, 0, 1, 2])
 def test_free_energy_refuses_windows_below_3(M):
     with pytest.raises(ValueError, match="window M must be >= 3"):
-        exact_free_energy_FN({4: F(1)}, 2, M=M)
+        hankel_free_energy_FN({4: F(1)}, 2, M=M)
+
+
+def test_production_route_runs_no_hankel_elimination(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Hankel oracle called")
+    for name in ("hankel_dets", "hankel_norms", "log_ratio_terms"):
+        monkeypatch.setattr(ortho_genus, name, refuse)
+    FN = exact_free_energy_FN({4: F(1)}, 12)
+    assert genus_extract(FN)[(12, 6)] > 0
+
+
+@pytest.mark.parametrize("couplings, order", [
+    ({4: F(1)}, 3), ({4: F(1)}, 6), ({4: F(1), 6: F(1)}, 3),
+    ({2: F(1, 3), 4: F(-2, 5)}, 6),
+])
+def test_free_energy_matches_hankel_oracle(couplings, order):
+    FN = exact_free_energy_FN(couplings, order)
+    oracle = hankel_free_energy_FN(couplings, order)
+    assert FN == oracle
+    assert FN.to_strings() == oracle.to_strings()
+
+
+def test_string_equation_ratios_need_no_wall():
+    # the polynomial r(m), solved without a wall, vanishes at m = 0 and is
+    # the Hankel ratio r_j at every j >= 1
+    coup = {4: F(1), 6: F(1)}
+    r, s = string_equation_ratios(coup, 3)
+    assert r.map_coeffs(lambda c: c.subs(m=0)).is_zero()
+    assert s.is_zero()
+    _, oracle = hankel_norms(coup, 3, 8)
+    for j in range(1, 8):
+        assert r.map_coeffs(lambda c: c.subs(m=j)) == oracle[j]
+
+
+@pytest.mark.parametrize("couplings, order", [
+    ({3: F(1)}, 5), ({2: F(1, 2), 3: F(1)}, 5), ({1: F(1)}, 8),
+])
+def test_free_energy_odd_potentials_match_pairing_oracle(couplings, order):
+    FN = exact_free_energy_FN(couplings, order)
+    wick = connected_free_energy_F(couplings, order)
+    for k in range(1, order + 1):
+        assert FN.coeffs[k] == wick.coeffs[k]
 
 
 def _window_inputs(summands, gamma0, M):

@@ -188,6 +188,13 @@ def test_elementary_functions_match_taylor_sums(tail):
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.lists(laurent_n, min_size=1, max_size=4))
+def test_sqrt_squares_back_over_laurent_polynomials(tail):
+    f = S([SymbolPoly.const(N_SYMS, 1, N_SYMS)] + tail)
+    assert f.sqrt() ** 2 == f
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.lists(rat, min_size=5, max_size=5))
 def test_reversion_roundtrip(tail):
     a = TruncSeries("z", [F(0), F(1)] + tail)
@@ -316,3 +323,11 @@ def test_series_refuses_float_coefficients():
     with pytest.raises(TypeError):
         S([1, 1]) * 0.5
     assert S([1, F(1, 2)]).coeffs == [F(1), F(1, 2)]
+
+
+def test_series_refuses_string_coefficients():
+    with pytest.raises(TypeError, match="neither a number nor a SymbolPoly"):
+        S(["1/10", 1])
+    with pytest.raises(TypeError):
+        TruncSeries.const("g", "1", 2)
+
