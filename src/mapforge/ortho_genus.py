@@ -111,15 +111,15 @@ def _shift_m(c, h):
     return SymbolPoly(MN, terms, NLAU)
 
 
-def _divide_by_m(c):
-    """c/m for a coefficient that vanishes at m = 0."""
+def _times_N_over_m(c):
+    """c N/m for a coefficient that vanishes at m = 0."""
     if not isinstance(c, SymbolPoly):
         assert c == 0, "constant term %r in a multiple of m" % (c,)
         return c
     terms = {}
     for (e, n), q in c.terms.items():
-        assert e > 0, "negative m exponent in log(N r/m)"
-        terms[(e - 1, n)] = q
+        assert e > 0, "negative m exponent in N r/m"
+        terms[(e - 1, n + 1)] = q
     return SymbolPoly(MN, terms, NLAU)
 
 
@@ -169,8 +169,7 @@ def exact_free_energy_FN(couplings, order):
     """
     couplings = Potential(couplings).couplings
     r, _ = string_equation_ratios(couplings, order)
-    lam = (r * SymbolPoly(MN, {(0, 1): 1}, NLAU)).map_coeffs(
-        _divide_by_m).log()
+    lam = r.map_coeffs(_times_N_over_m).log()
     gamma0 = moments_from_potential(couplings, order, 0)[0].log()
     coeffs = [_npoly()]
     for k in range(1, order + 1):

@@ -330,4 +330,3 @@ def test_series_refuses_string_coefficients():
         S(["1/10", 1])
     with pytest.raises(TypeError):
         TruncSeries.const("g", "1", 2)
-
