@@ -14,7 +14,9 @@ wick_fatgraphs:
 Trees are nested tuples, walked with explicit stacks.  Two samplers round
 the module off: label rejection on nested trees, and the uniform pointed
 sampler, which runs on flat lists from the cycle-lemma step list to the
-finished map.
+finished map.  Both draw inline the very words random.Random's shuffle and
+choice would draw, so a seed gives the same tree and map as through those
+methods.
 """
 
 import random
@@ -359,12 +361,12 @@ def check_quadrangulation(m):
     all have even degree is bipartite, so none is checked."""
     if m.root is None:
         raise NotQuadrangulation("a root dart is required")
-    dist, queue = _bfs(m)
+    dist, sizes, _ = _bfs(m)
     if -1 in dist:
         raise NotQuadrangulation("map not connected")
     faces = m.faces()
-    # Euler's formula, queue holding one dart per vertex
-    if len(queue) - m.n_darts // 2 + len(faces) != 2:
+    # Euler's formula, with sum(sizes) vertices
+    if sum(sizes) - m.n_darts // 2 + len(faces) != 2:
         raise NotQuadrangulation("map not planar")
     for f in faces:
         if len(f) != 4:
@@ -571,7 +573,21 @@ def _tree_steps(A, rng):
     """Contour of a uniform plane tree with A edges by the cycle lemma, as
     2A steps: +1 down to a new child, -1 back up to the parent."""
     steps = [1] * A + [-1] * (A + 1)
-    rng.shuffle(steps)
+    # Fisher-Yates on the words Random.shuffle draws: j is uniform on
+    # 0..i as getrandbits(k), k = (i+1).bit_length(), drawn again while it
+    # exceeds i.  k is the same for i = 2^k - 2 down to 2^(k-1) - 1, so
+    # it is set once per such block.
+    getrandbits = rng.getrandbits
+    top = 2 * A
+    while top:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the least i with this k
+        for i in range(top, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            steps[i], steps[j] = steps[j], steps[i]
+        top = low - 1
     # rotate to start after the first lowest point; the rotated path stays
     # >= 0 until its final down step, which is dropped
     heights = list(accumulate(steps))
@@ -595,11 +611,16 @@ def _labeled_tree(A, rng):
     """A uniform plane tree with A edges, root label 0 and iid uniform
     {-1,0,+1} edge increments drawn in preorder, as a nested (label, kids)
     tree; None as soon as a label goes negative."""
-    choice = rng.choice
+    getrandbits = rng.getrandbits
     stack = [(0, [])]
     for s in _tree_steps(A, rng):
         if s > 0:
-            lab = stack[-1][0] + choice((-1, 0, 1))
+            # rng.choice((-1, 0, 1)) on the same words: two bits, drawn
+            # again while they read 3
+            r = getrandbits(2)
+            while r == 3:
+                r = getrandbits(2)
+            lab = stack[-1][0] + r - 1
             if lab < 0:
                 return None
             stack.append((lab, []))
@@ -635,7 +656,7 @@ def _free_contour(A, rng):
     vertex v.  The root has label 0 and each edge an iid uniform increment
     in {-1,0,+1}, drawn in preorder, as _labeled_tree draws them."""
     path = _tree_steps(A, rng)
-    choice = rng.choice
+    getrandbits = rng.getrandbits
     vid = [0] * len(path)
     vlab = [0]
     up = []  # the ancestors of vertex v
@@ -644,7 +665,11 @@ def _free_contour(A, rng):
         vid[i] = v
         if s > 0:
             up.append(v)
-            vlab.append(vlab[v] + choice((-1, 0, 1)))
+            # the increment as _labeled_tree draws it
+            r = getrandbits(2)
+            while r == 3:
+                r = getrandbits(2)
+            vlab.append(vlab[v] + r - 1)
             v = len(vlab) - 1
         else:
             v = up.pop()
@@ -662,49 +687,54 @@ def sample_quadrangulation_uniform(A, seed, index=0):
     vid, vlab = _free_contour(A, rng)
     eps = rng.choice((1, -1))
     shift = 1 - min(vlab)
-    vlab = [l + shift for l in vlab]
-    m, _ = _quad_from_contour(vid, [vlab[v] for v in vid],
+    m, _ = _quad_from_contour(vid, [vlab[v] + shift for v in vid],
                               root=0 if eps > 0 else 1)
     return m
 
 
 def _bfs(m):
     """Breadth-first search from the root's vertex over the vertices, each
-    a sigma cycle.  Returns (dist, queue): dist[d] is the distance of d's
-    vertex (-1 where not reached), queue one dart per reached vertex in
-    visiting order."""
+    a sigma cycle, one level at a time.  Returns (dist, sizes, deg):
+    dist[d] is the distance of d's vertex (-1 where not reached), sizes[k]
+    the number of vertices at distance k and deg the root vertex's
+    degree."""
     sigma, alpha = m.sigma, m.alpha
     dist = [-1] * len(sigma)
-    queue = [m.root]
     d = m.root
+    deg = 0
     while dist[d] < 0:
         dist[d] = 0
         d = sigma[d]
-    for start in queue:
-        k = dist[start] + 1
-        d = start
-        while True:
-            e = alpha[d]
-            if dist[e] < 0:
-                queue.append(e)
-                while dist[e] < 0:
-                    dist[e] = k
-                    e = sigma[e]
-            d = sigma[d]
-            if d == start:
-                break
-    return dist, queue
+        deg += 1
+    # one dart per vertex of the current level; walking round each one
+    # finds the vertices of the next
+    level = [m.root]
+    sizes = []
+    while level:
+        sizes.append(len(level))
+        k = len(sizes)
+        found = []
+        for start in level:
+            d = start
+            while True:
+                e = alpha[d]
+                if dist[e] < 0:
+                    found.append(e)
+                    while dist[e] < 0:
+                        dist[e] = k
+                        e = sigma[e]
+                d = sigma[d]
+                if d == start:
+                    break
+        level = found
+    return dist, sizes, deg
 
 
 def distance_profile(m):
     """(counts of vertices per distance from the root start, degree of the
     root start vertex)."""
-    dist, queue = _bfs(m)
-    counts = {}
-    for d in queue:
-        k = dist[d]
-        counts[k] = counts.get(k, 0) + 1
-    return counts, dist.count(0)
+    _, sizes, deg = _bfs(m)
+    return dict(enumerate(sizes)), deg
 
 
 def acceptance_stats(A, seed, proposals):

@@ -70,6 +70,8 @@ def _rng(seed, index):
 
 
 def _run(cfg, rng):
+    uniform, getrandbits = rng.random, rng.getrandbits
+    p, L = cfg.p, cfg.L
     pop = [cfg.start]
     for _ in range(cfg.t_max):
         if not pop:
@@ -77,11 +79,16 @@ def _run(cfg, rng):
         new = []
         for pos in pop:
             k = 0
-            while rng.random() < cfg.p:
+            while uniform() < p:
                 k += 1
             for _ in range(k):
-                q = pos + rng.choice((-1, 0, 1))
-                if q < 0 or (cfg.L is not None and q > cfg.L):
+                # rng.choice((-1, 0, 1)) on the same words, as the samplers
+                # in bijections draw a label increment
+                r = getrandbits(2)
+                while r == 3:
+                    r = getrandbits(2)
+                q = pos + r - 1
+                if q < 0 or (L is not None and q > L):
                     return "escaped"
                 new.append(q)
         pop = new

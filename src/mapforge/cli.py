@@ -368,7 +368,11 @@ def build_parser():
                        default=default_format)
         p.add_argument("--output", default=None)
         p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("MAPFORGE_THREADS", "1")))
+                       default=int(os.environ.get("MAPFORGE_THREADS", "1")),
+                       help="worker count (default: $MAPFORGE_THREADS, else "
+                            "1); accepted and echoed in the report, but "
+                            "without effect: every command runs in one "
+                            "thread")
         if seeded:
             p.add_argument("--seed", type=int, required=True)
 

@@ -8,6 +8,7 @@ truncate to the minimum order of the operands.
 """
 
 from fractions import Fraction
+from operator import add
 
 
 class NonUnitDivisor(ArithmeticError):
@@ -163,7 +164,7 @@ class SymbolPoly:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
         return SymbolPoly._raw(self.symbols, terms,
                                self.laurent | other.laurent)

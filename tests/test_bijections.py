@@ -411,6 +411,62 @@ def test_pointed_mc_profile_matches_tree_label_route(A, seed):
         == _oracle_pointed_rows(A, 6, 30, seed)
 
 
+class _Rejected(Exception):
+    pass
+
+
+def _oracle_well_labeled_tree(A, seed, index):
+    # the rejection sampler through Random.shuffle and Random.choice: a
+    # proposal draws its increments in preorder and stops at the first
+    # negative label, so the next proposal starts on the following word
+    rng = _rng(seed, index)
+
+    def labels(shape, lab):
+        kids = []
+        for c in shape:
+            child = lab + rng.choice((-1, 0, 1))
+            if child < 0:
+                raise _Rejected
+            kids.append(labels(c, child))
+        return (lab, tuple(kids))
+
+    tries = 0
+    while True:
+        tries += 1
+        try:
+            return labels(_oracle_plane_tree(A, rng), 0), tries
+        except _Rejected:
+            pass
+
+
+REJECTION_CASES = [(A, seed, index) for A in (0, 1, 2, 3, 5, 9, 17, 40)
+                   for seed, index in ((0, 0), (4, 1), (31, 7))]
+
+
+@pytest.mark.parametrize("A, seed, index", REJECTION_CASES)
+def test_rejection_sampler_matches_shuffle_choice_stream(A, seed, index):
+    assert sample_well_labeled_tree(A, seed, index) \
+        == _oracle_well_labeled_tree(A, seed, index)
+
+
+def test_rejection_stream_cases_reject_early():
+    # the stream pin above is only sharp where proposals are rejected part
+    # way through their increments
+    for A in (5, 9, 17, 40):
+        assert any(_oracle_well_labeled_tree(A, s, i)[1] > 1
+                   for a, s, i in REJECTION_CASES if a == A)
+
+
+@pytest.mark.parametrize("A", [0, 1, 2, 7, 30, 500, 2000])
+def test_distance_profile_counts_levels_in_order(A):
+    for seed in (0, 9):
+        m = sample_quadrangulation_uniform(A, seed, 3)
+        counts, deg = distance_profile(m)
+        assert list(counts) == list(range(len(counts)))
+        assert sum(counts.values()) == A + 2 and counts[0] == 1
+        assert (counts, deg) == _oracle_distance_profile(m)
+
+
 def _shape_and_labels(t):
     # (label, number of children) in preorder determines a nested tree
     out = []

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 from math import sqrt
 
@@ -9,7 +10,7 @@ from mapforge.geodesic import DomainError, exact_Rn_quartic, scaling_F
 from mapforge.branching import (
     BranchingConfig, OutOfRange, WeierstrassProfile, branching_g,
     escape_exact, escape_interval, extinction_exact, newton_bounded_Rn,
-    simulate_extinction, theta_bounded_Rn, weierstrass_scaling_check,
+    simulate_extinction, theta_bounded_Rn, weierstrass_scaling_check, _rng,
 )
 
 
@@ -51,6 +52,45 @@ def test_simulation_reproducible():
     a = simulate_extinction(cfg, 3000)
     b = simulate_extinction(cfg, 3000)
     assert a.estimate == b.estimate and a.hits == b.hits
+
+
+def _oracle_run(cfg, rng):
+    # the walk as written with Random.choice for each child's step
+    pop = [cfg.start]
+    for _ in range(cfg.t_max):
+        if not pop:
+            return "extinct"
+        new = []
+        for pos in pop:
+            k = 0
+            while rng.random() < cfg.p:
+                k += 1
+            for _ in range(k):
+                q = pos + rng.choice((-1, 0, 1))
+                if q < 0 or (cfg.L is not None and q > cfg.L):
+                    return "escaped"
+                new.append(q)
+        pop = new
+    return "censored"
+
+
+@pytest.mark.parametrize("cfg", [
+    BranchingConfig(0.45, start=1, seed=3),
+    BranchingConfig(0.3, start=0, seed=17),
+    BranchingConfig(0.49, start=5, t_max=3, seed=1),
+    BranchingConfig(0.45, start=2, walls="interval", L=6, seed=4),
+    BranchingConfig(0.2, start=0, walls="interval", L=0, seed=8),
+])
+def test_tallies_match_choice_stream(cfg):
+    samples = 1500
+    runs = Counter(_oracle_run(cfg, _rng(cfg.seed, i)) for i in range(samples))
+    decided = samples - runs["censored"]
+    tallies = [(simulate_extinction(cfg, samples), "extinct")]
+    if cfg.walls == "interval":
+        tallies.append((escape_interval(cfg, samples), "escaped"))
+    for t, outcome in tallies:
+        assert (t.hits, t.decided, t.censored) \
+            == (runs[outcome], decided, runs["censored"])
 
 
 def test_escape_interval():
