@@ -682,7 +682,10 @@ def sample_quadrangulation_uniform(A, seed, index=0):
     Samples a uniform (plane tree, free labels, sign) triple and forgets
     the marked vertex of the pointed construction; since every rooted
     quadrangulation corresponds to exactly 2(A+2) such triples, the result
-    is exactly uniform."""
+    is exactly uniform.  A < 1 raises NotQuadrangulation, as the rejection
+    sampler does: the empty tree's one-edge map has no face of degree 4."""
+    if A < 1:
+        raise NotQuadrangulation("a quadrangulation needs at least one face")
     rng = _rng(seed, index)
     vid, vlab = _free_contour(A, rng)
     eps = rng.choice((1, -1))

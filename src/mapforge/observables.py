@@ -20,8 +20,8 @@ from .series_core import (SymbolPoly, TruncSeries, exact_fraction,
                           fixed_point_solve)
 from .planar_onecut import unit_quartic_solution
 from .geodesic import _quartic_area_terms, integral_of_motion
-from .bijections import (_free_contour, _rng, distance_profile,
-                         sample_quadrangulation_uniform)
+from .bijections import (NotQuadrangulation, _free_contour, _rng,
+                         distance_profile, sample_quadrangulation_uniform)
 
 
 class IntegrationObstruction(ValueError):
@@ -369,9 +369,12 @@ def mc_profile(A, n_max, samples, seed, method="reweighted"):
     method "reweighted": uniform rooted quadrangulations with origin at the
     root start, importance weights 1/deg(origin) converting to the
     vertex-origin measure.  method "pointed": the pointed construction
-    samples that measure directly from the shifted tree labels."""
+    samples that measure directly from the shifted tree labels.  A < 1
+    raises NotQuadrangulation, as the samplers do."""
     if method not in ("reweighted", "pointed"):
         raise ValueError("unknown method")
+    if A < 1:
+        raise NotQuadrangulation("a quadrangulation needs at least one face")
     data = []
     wts = []
     for i in range(samples):

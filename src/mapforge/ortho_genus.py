@@ -130,14 +130,15 @@ def string_equation_ratios(couplings, order):
 
     The path sums run at heights offset from m, a down step from h
     weighing r(m+h) and a level step s(m+h), with no wall; each shift is
-    built once per pass.  s vanishes for even potentials.
+    built once per call of the equation.  s vanishes for even potentials.
     """
     V = Potential(couplings)
     even = V.is_even()
-    g = TruncSeries.gen("g", order)
     m_over_N = SymbolPoly(MN, {(1, -1): 1}, NLAU)
 
     def equation(X):
+        g = TruncSeries.gen("g", order)
+
         def shifted(series):
             cache = {}
 

@@ -85,9 +85,9 @@ def path_sum(down, level, start, end, steps, order):
                 nxt[to] = nxt[to] + term if to in nxt else term
         layer = nxt
     out = layer.get(end, 0)
-    if isinstance(out, TruncSeries):
-        return out
-    return TruncSeries.const("g", out, order)
+    if isinstance(out, (int, Fraction, SymbolPoly)):
+        return TruncSeries.const("g", out, order)
+    return out
 
 
 def _bulk_weights(V, R, S):
@@ -97,11 +97,11 @@ def _bulk_weights(V, R, S):
 
 def solve_one_cut(V, order):
     """Series solution with R = 1 + O(g), S = O(g)."""
-    g = TruncSeries.gen("g", order)
     even = V.is_even()
 
     def equation(X):
         # R = 1 + sum g_i <-1|Q^{i-1}|0>,  S = sum g_i <0|Q^{i-1}|0>
+        g = TruncSeries.gen("g", order)
         down, level = _bulk_weights(V, *X)
         newR, newS = 1, 0
         for v, gi in V.couplings.items():

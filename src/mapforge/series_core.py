@@ -8,7 +8,7 @@ truncate to the minimum order of the operands.
 """
 
 from fractions import Fraction
-from operator import add
+from operator import add, neg, sub
 
 
 class NonUnitDivisor(ArithmeticError):
@@ -278,12 +278,13 @@ class SymbolPoly:
 
 
 def _as_coeff(c):
-    """A series coefficient: an int or Fraction as a Fraction, a SymbolPoly
-    as it is; anything else (a float, a string) is refused."""
-    if isinstance(c, (int, Fraction)):
-        return Fraction(c)
-    if isinstance(c, SymbolPoly):
+    """A series coefficient: a Fraction or SymbolPoly as it is (both are
+    immutable, so series share them), an int as a Fraction; anything else
+    (a float, a string) is refused."""
+    if isinstance(c, (Fraction, SymbolPoly)):
         return c
+    if isinstance(c, int):
+        return Fraction(c)
     if isinstance(c, float):
         raise TypeError("float %r is not exact" % (c,))
     raise TypeError("series coefficient %r is neither a number nor a "
@@ -556,17 +557,241 @@ class TruncSeries:
         return TruncSeries(self.var, out)
 
 
+class _Round:
+    """What one online solve shares with the nodes of its equation: the
+    degree k of the round, whether the coefficient being computed has read
+    a placeholder X_k (taint), and the nodes whose coefficient k did."""
+
+    __slots__ = ("k", "taint", "dirty")
+
+    def __init__(self):
+        self.k = 0
+        self.taint = False
+        self.dirty = []
+
+
+class _LazySeries:
+    """A node of the equation DAG that fixed_point_solve builds once.
+
+    Coefficients are computed on demand, in degree order, and kept in cs.
+    A subclass's _next(n) computes coefficient n from its operands by the
+    formula and zero skips of the TruncSeries operation it stands for, so
+    each coefficient has that operation's value and Python type.  The base
+    class itself holds a TruncSeries or scalar operand, or an unknown: cs
+    holds its coefficients, and _next gives 0 after them.  Beyond order,
+    the least order of its operands, a node reads 0, as a TruncSeries
+    operation truncates there and the solve pads."""
+
+    __slots__ = ("var", "order", "rnd", "cs", "dirty")
+
+    def __init__(self, var, order, rnd, cs=()):
+        self.var = var
+        self.order = order
+        self.rnd = rnd
+        self.cs = list(cs)
+        self.dirty = False
+
+    def _next(self, n):
+        return Fraction(0)
+
+    def coeff(self, n):
+        cs = self.cs
+        rnd = self.rnd
+        while len(cs) <= n:
+            i = len(cs)
+            if i > self.order:
+                cs.append(Fraction(0))
+            elif i == rnd.k:
+                # coefficient k may read the placeholder X_k; if it does,
+                # the round drops it once X_k is known
+                outer = rnd.taint
+                rnd.taint = False
+                cs.append(self._next(i))
+                if rnd.taint:
+                    self.dirty = True
+                    rnd.dirty.append(self)
+                rnd.taint = outer
+            else:
+                cs.append(self._next(i))
+        if self.dirty and n == rnd.k:
+            rnd.taint = True
+        return cs[n]
+
+    def _operand(self, other):
+        """other as a node: a series as it is, a scalar as the constant
+        series TruncSeries._match pads it to; None for anything else."""
+        if isinstance(other, _LazySeries):
+            node = other
+        elif isinstance(other, TruncSeries):
+            node = _LazySeries(other.var, other.order, self.rnd, other.coeffs)
+        elif isinstance(other, (int, Fraction, SymbolPoly)):
+            return _LazySeries(self.var, self.order, self.rnd,
+                               (_as_coeff(other),))
+        else:
+            return None
+        if node.var != self.var:
+            raise ValueError("variable mismatch")
+        return node
+
+    def __add__(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else _Pointwise(self, b, add)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Pointwise(self, None, neg)
+
+    def __sub__(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else _Pointwise(self, b, sub)
+
+    def __rsub__(self, other):
+        b = self._operand(other)
+        return NotImplemented if b is None else _Pointwise(b, self, sub)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction, SymbolPoly)):
+            o = _as_coeff(other)
+            return _Pointwise(self, None, lambda c: c * o)
+        b = self._operand(other)
+        return NotImplemented if b is None else _Mul(self, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError
+            return self * (Fraction(1) / Fraction(other))
+        if isinstance(other, SymbolPoly):
+            return self * other.inverse()
+        b = self._operand(other)
+        return NotImplemented if b is None else _Div(self, b)
+
+    def __rtruediv__(self, other):
+        a = self._operand(other)
+        return NotImplemented if a is None else _Div(a, self)
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            raise TypeError("use pow_frac for fractional powers")
+        if k < 0:
+            return (1 / self) ** (-k)
+        out = self._operand(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def map_coeffs(self, f):
+        return _Pointwise(self, None, lambda c: _as_coeff(f(c)))
+
+
+class _Op(_LazySeries):
+    """A node computed from operand a, operand b of a binary operation, and
+    a parameter p."""
+
+    __slots__ = ("a", "b", "p")
+
+    def __init__(self, a, b=None, p=None):
+        order = a.order if b is None else min(a.order, b.order)
+        _LazySeries.__init__(self, a.var, order, a.rnd)
+        self.a = a
+        self.b = b
+        self.p = p
+
+
+class _Pointwise(_Op):
+    """Coefficient n is p(a_n, b_n), or p(a_n) when there is no b."""
+
+    __slots__ = ()
+
+    def _next(self, n):
+        if self.b is None:
+            return self.p(self.a.coeff(n))
+        return self.p(self.a.coeff(n), self.b.coeff(n))
+
+
+class _Mul(_Op):
+    """Coefficient n of a*b, zero terms skipped.  A coefficient n of an
+    operand is read only when the other factor is nonzero, so g*f(X) never
+    computes f's coefficient n from the placeholder X_n."""
+
+    __slots__ = ()
+
+    def _next(self, n):
+        a, b = self.a, self.b
+        acc = Fraction(0)
+        x = a.coeff(0)
+        if x:
+            y = b.coeff(n)
+            if y:
+                acc = acc + x * y
+        if n:
+            # degrees below n are final: read them in place
+            a.coeff(n - 1)
+            b.coeff(n - 1)
+            A, B = a.cs, b.cs
+            for i in range(1, n):
+                x = A[i]
+                if x:
+                    y = B[n - i]
+                    if y:
+                        acc = acc + x * y
+            y = B[0]
+            if y:
+                x = a.coeff(n)
+                if x:
+                    acc = acc + x * y
+        return acc
+
+
+class _Div(_Op):
+    """Coefficient n of a/b by the recurrence of TruncSeries.__truediv__."""
+
+    __slots__ = ()
+
+    def _next(self, n):
+        b = self.b
+        b0 = b.coeff(0)
+        if _coeff_is_zero(b0):
+            raise NonUnitDivisor("division by series with zero constant term")
+        b.coeff(n)
+        B, Q = b.cs, self.cs
+        acc = self.a.coeff(n)
+        for j in range(n):
+            acc = acc - Q[j] * B[n - j]
+        return _coeff_div(acc, b0)
+
+
 def fixed_point_solve(equation, seed, order, var="g"):
     """Solve X = equation(X) when the map is triangular in the degree.
 
     X is one series, or a tuple of series when seed is a tuple (a system
     of equations).  Coefficient k of equation(X) may depend only on the
-    coefficients < k of X, so pass k runs at truncation order k and fixes
-    coefficient k; binary operations truncate to the shorter operand, so an
-    equation that captures full-order series runs at the pass's order.  A
-    final re-application at full order must reproduce X exactly, otherwise
-    the dependence was not triangular.
+    coefficients < k of X, or on X_k through an update such as
+    Y + (c - f(Y))/(u - 1), which gives the true Y_k when it reads Y_k = 0
+    and keeps a true Y_k as it is.
+
+    The solve is online.  The equation runs once, on lazy unknowns, and
+    builds a DAG of memoised series nodes; it may use +, -, *, / and
+    integer ** on them, with series, int, Fraction and SymbolPoly operands,
+    and map_coeffs.  Round k pulls coefficient k of every output, reading
+    X_k as the seed when k = 0 and 0 after it; then it sets every X_k, and
+    each node whose coefficient k read that placeholder drops it, to be
+    recomputed from the true X_k when a later round needs it.  So each
+    coefficient of each node is computed once (twice where it read a
+    placeholder), and coefficient k is what equation(X truncated to order
+    k) gives there.  A final re-application at full order, on ordinary
+    series, must reproduce X exactly, otherwise the dependence was not
+    triangular.
     """
+    if order < 0:
+        raise ValueError("order must be >= 0")
     system = isinstance(seed, tuple)
 
     def apply(xs, k):
@@ -575,10 +800,37 @@ def fixed_point_solve(equation, seed, order, var="g"):
                       else TruncSeries.const(var, y, k)).truncate(k)
                      for y in out)
 
-    xs = tuple(TruncSeries.const(var, s, 0) for s in
-               (seed if system else (seed,)))
+    def node(y):
+        if isinstance(y, _LazySeries):
+            return y
+        if isinstance(y, TruncSeries):
+            return _LazySeries(y.var, y.order, rnd, y.coeffs)
+        return _LazySeries(var, 0, rnd, (_as_coeff(y),))
+
+    rnd = _Round()
+    # an unknown's cs holds the coefficients solved so far and, in round k,
+    # the placeholder X_k that pass k of an iteration over truncations read:
+    # the seed at k = 0, the padding 0 after it; dirty, as a read of it
+    # taints the reader
+    unknowns = tuple(_LazySeries(var, order, rnd, (_as_coeff(s),))
+                     for s in (seed if system else (seed,)))
+    for x in unknowns:
+        x.dirty = True
+    outs = [node(y) for y in (equation(unknowns) if system
+                              else (equation(unknowns[0]),))]
     for k in range(order + 1):
-        xs = apply(tuple(x.truncate(k) for x in xs), k)
+        rnd.k = k
+        if k:
+            for x in unknowns:
+                x.cs.append(Fraction(0))
+        xk = [y.coeff(k) for y in outs]
+        for x, c in zip(unknowns, xk):
+            x.cs[k] = c
+        for done in rnd.dirty:
+            done.cs.pop()
+            done.dirty = False
+        rnd.dirty = []
+    xs = tuple(TruncSeries(y.var, x.cs) for x, y in zip(unknowns, outs))
     if apply(xs, order) != xs:
         raise NotContracting("fixed point iteration did not stabilize")
     return xs if system else xs[0]

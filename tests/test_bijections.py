@@ -460,7 +460,10 @@ def test_rejection_stream_cases_reject_early():
 @pytest.mark.parametrize("A", [0, 1, 2, 7, 30, 500, 2000])
 def test_distance_profile_counts_levels_in_order(A):
     for seed in (0, 9):
-        m = sample_quadrangulation_uniform(A, seed, 3)
+        # area 0 has no quadrangulation; the sampler refuses it, and the
+        # one-edge map it used to return is profiled directly
+        m = (sample_quadrangulation_uniform(A, seed, 3) if A
+             else CombinatorialMap(*EDGE, root=0))
         counts, deg = distance_profile(m)
         assert list(counts) == list(range(len(counts)))
         assert sum(counts.values()) == A + 2 and counts[0] == 1

@@ -6,7 +6,10 @@ import pytest
 from mapforge.series_core import SymbolPoly, TruncSeries
 from mapforge.planar_onecut import Potential, solve_one_cut
 from mapforge.geodesic import fixed_area_ratio, solve_Rn_series
-from mapforge.bijections import enumerate_well_labeled
+from mapforge.bijections import (
+    NotQuadrangulation, enumerate_quadrangulations, enumerate_well_labeled,
+    sample_quadrangulation, sample_quadrangulation_uniform,
+)
 from mapforge.observables import (
     BranchError, IntegrationObstruction, _real_cubic_roots, edges_at_distance,
     edges_at_distance_asymptotic, gamma_infinite, gamma_rho_closed_form,
@@ -322,3 +325,16 @@ def test_weighted_Rn_solve_refuses_float_weights():
         weighted_Rn_solve([1], [0.5], 1)
     assert weighted_Rn_solve(["0.1"], [1], 2) \
         == weighted_Rn_solve([F(1, 10)], [F(1)], 2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda A: sample_quadrangulation_uniform(A, 3, 1),
+    lambda A: sample_quadrangulation(A, 3, 1),
+    lambda A: enumerate_quadrangulations(A),
+    lambda A: mc_profile(A, 2, 4, 3),
+    lambda A: mc_profile(A, 2, 4, 3, method="pointed"),
+], ids=["uniform", "rejection", "enumerate", "mc_reweighted", "mc_pointed"])
+def test_area_zero_is_not_a_quadrangulation(call):
+    # the empty tree would give the one-edge map, whose face has degree 2
+    with pytest.raises(NotQuadrangulation):
+        call(0)
