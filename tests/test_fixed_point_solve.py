@@ -170,6 +170,19 @@ def test_zero_coefficients_keep_their_types():
     solve_both(lambda x: 1 + g * (x * t) / (1 - g * g), t)
 
 
+def test_negative_power_matches_pass_loop():
+    g = TruncSeries.gen("g", ORDER)
+    solve_both(lambda x: 1 + g * (1 + g * x) ** -2, 1)
+    solve_both(lambda x: 1 + g * x ** -1, 2)
+
+
+def test_variable_mismatch_is_refused():
+    h = TruncSeries.gen("h", ORDER)
+    for solve in (fixed_point_solve, pass_loop_solve):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            solve(lambda x: 1 + h * x, 1, ORDER)
+
+
 # --- the production callers, each solved both ways --------------------
 
 CALLERS = {
