@@ -370,9 +370,14 @@ def mc_profile(A, n_max, samples, seed, method="reweighted"):
     root start, importance weights 1/deg(origin) converting to the
     vertex-origin measure.  method "pointed": the pointed construction
     samples that measure directly from the shifted tree labels.  A < 1
-    raises NotQuadrangulation, as the samplers do."""
+    raises NotQuadrangulation, as the samplers do; samples < 1 and
+    n_max < 0 raise ValueError."""
     if method not in ("reweighted", "pointed"):
         raise ValueError("unknown method")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     if A < 1:
         raise NotQuadrangulation("a quadrangulation needs at least one face")
     data = []

@@ -8,7 +8,7 @@ truncate to the minimum order of the operands.
 """
 
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, eq, neg, sub
 
 
 class NonUnitDivisor(ArithmeticError):
@@ -16,10 +16,6 @@ class NonUnitDivisor(ArithmeticError):
 
 
 class BadConstantTerm(ValueError):
-    pass
-
-
-class NotInvertible(ValueError):
     pass
 
 
@@ -291,10 +287,6 @@ def _as_coeff(c):
                     "SymbolPoly" % (c,))
 
 
-def _coeff_is_zero(c):
-    return c == 0
-
-
 def _coeff_div(a, b):
     """a/b where b must be a unit of the coefficient ring."""
     if isinstance(b, (int, Fraction)):
@@ -353,116 +345,70 @@ class TruncSeries:
             return TruncSeries(self.var, self.coeffs + [Fraction(0)] * (order - self.order))
         return TruncSeries(self.var, self.coeffs[:order + 1])
 
-    def _match(self, other):
-        if isinstance(other, TruncSeries):
-            if other.var != self.var:
-                raise ValueError("variable mismatch")
-            n = min(self.order, other.order)
-            return self.coeffs[:n + 1], other.coeffs[:n + 1]
-        if isinstance(other, (int, Fraction, SymbolPoly)):
-            o = [_as_coeff(other)] + [Fraction(0)] * self.order
-            return list(self.coeffs), o
-        return None, None
+    def _read(self, op, *args):
+        """The series operation op, a _LazySeries method: it builds on this
+        series the node the online solver builds, read out to full order on
+        a round no unknown belongs to.  A lazy operand gives NotImplemented,
+        so that the node's reflected operation runs."""
+        if args and isinstance(args[0], _LazySeries):
+            return NotImplemented
+        node = op(_LazySeries(self.var, self.order, _READOUT, self.coeffs),
+                  *args)
+        if node is NotImplemented:
+            return node
+        node.coeff(node.order)
+        return TruncSeries(node.var, node.cs)
 
     def __add__(self, other):
-        a, b = self._match(other)
-        if a is None:
-            return NotImplemented
-        return TruncSeries(self.var, [x + y for x, y in zip(a, b)])
+        return self._read(_LazySeries.__add__, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncSeries(self.var, [-c for c in self.coeffs])
+        return self._read(_LazySeries.__neg__)
 
     def __sub__(self, other):
-        a, b = self._match(other)
-        if a is None:
-            return NotImplemented
-        return TruncSeries(self.var, [x - y for x, y in zip(a, b)])
+        return self._read(_LazySeries.__sub__, other)
 
     def __rsub__(self, other):
-        return -(self - other)
+        return self._read(_LazySeries.__rsub__, other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, SymbolPoly)):
-            o = _as_coeff(other)
-            return TruncSeries(self.var, [c * o for c in self.coeffs])
-        a, b = self._match(other)
-        if a is None:
-            return NotImplemented
-        n = len(a) - 1
-        out = [Fraction(0)] * (n + 1)
-        for i, x in enumerate(a):
-            if _coeff_is_zero(x):
-                continue
-            for j in range(0, n - i + 1):
-                y = b[j]
-                if _coeff_is_zero(y):
-                    continue
-                out[i + j] = out[i + j] + x * y
-        return TruncSeries(self.var, out)
+        return self._read(_LazySeries.__mul__, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            inv = Fraction(1) / Fraction(other)
-            return self * inv
-        if isinstance(other, SymbolPoly):
-            return self * other.inverse()
-        a, b = self._match(other)
-        if a is None:
-            return NotImplemented
-        if _coeff_is_zero(b[0]):
-            raise NonUnitDivisor("division by series with zero constant term")
-        n = len(a) - 1
-        out = []
-        for k in range(n + 1):
-            acc = a[k]
-            for j in range(k):
-                acc = acc - out[j] * b[k - j]
-            out.append(_coeff_div(acc, b[0]))
-        return TruncSeries(self.var, out)
+        return self._read(_LazySeries.__truediv__, other)
 
     def __rtruediv__(self, other):
         return TruncSeries.const(self.var, other, self.order) / self
 
     def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("use pow_frac for fractional powers")
-        if k < 0:
-            return (1 / self) ** (-k)
-        out = TruncSeries.const(self.var, 1, self.order)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return self._read(_LazySeries.__pow__, k)
 
     def __eq__(self, other):
-        a, b = self._match(other)
-        if a is None:
+        if isinstance(other, (int, Fraction, SymbolPoly)):
+            other = TruncSeries.const(self.var, other, self.order)
+        elif not isinstance(other, TruncSeries):
             return NotImplemented
-        return all(x == y for x, y in zip(a, b))
+        elif other.var != self.var:
+            raise ValueError("variable mismatch")
+        return all(map(eq, self.coeffs, other.coeffs))
 
     def __repr__(self):
         bits = []
         for k, c in enumerate(self.coeffs):
-            if not _coeff_is_zero(c):
+            if c:
                 bits.append("(%r)*%s^%d" % (c, self.var, k))
         body = " + ".join(bits) if bits else "0"
         return "%s + O(%s^%d)" % (body, self.var, self.order + 1)
 
     def is_zero(self):
-        return all(_coeff_is_zero(c) for c in self.coeffs)
+        return not any(self.coeffs)
 
     def map_coeffs(self, f):
-        return TruncSeries(self.var, [f(c) for c in self.coeffs])
+        return self._read(_LazySeries.map_coeffs, f)
 
     def to_strings(self):
         out = []
@@ -482,7 +428,7 @@ class TruncSeries:
 
     def exp(self):
         """h = exp(f) from h' = f'h:  n h_n = sum_{k=1..n} k f_k h_{n-k}."""
-        if not _coeff_is_zero(self.coeffs[0]):
+        if self.coeffs[0]:
             raise BadConstantTerm("exp needs constant term 0")
         return self._unit_recurrence(lambda n, k: k)
 
@@ -509,39 +455,10 @@ class TruncSeries:
         for n in range(1, self.order + 1):
             acc = Fraction(0)
             for k in range(1, n + 1):
-                if not _coeff_is_zero(f[k]):
+                if f[k]:
                     acc = acc + weight(n, k) * f[k] * h[n - k]
             h.append(acc / n)
         return TruncSeries(self.var, h)
-
-    def compose(self, inner):
-        """self(inner); inner must have zero constant term."""
-        if not isinstance(inner, TruncSeries):
-            raise TypeError("inner must be a series")
-        if not _coeff_is_zero(inner.coeffs[0]):
-            raise BadConstantTerm("composition needs zero inner constant term")
-        n = min(self.order, inner.order)
-        out = TruncSeries.const(inner.var, 0, n)
-        for c in reversed(self.coeffs[:n + 1]):
-            out = out * inner.truncate(n) + c
-        return out
-
-    def reversion(self):
-        """Compositional inverse via Lagrange inversion."""
-        if not _coeff_is_zero(self.coeffs[0]):
-            raise NotInvertible("reversion needs zero constant term")
-        if self.order < 1 or _coeff_is_zero(self.coeffs[1]):
-            raise NotInvertible("reversion needs nonzero linear term")
-        n = self.order
-        # q = z/a(z), unit constant term
-        q = TruncSeries(self.var, self.coeffs[1:] + [Fraction(0)])
-        q = 1 / q
-        p = TruncSeries.const(self.var, 1, n - 1)
-        coeffs = [Fraction(0)] * (n + 1)
-        for k in range(1, n + 1):
-            p = p * q
-            coeffs[k] = _coeff_div(p.coeff(k - 1), k)
-        return TruncSeries(self.var, coeffs)
 
     def derivative(self):
         if self.order == 0:
@@ -570,16 +487,36 @@ class _Round:
         self.dirty = []
 
 
-class _LazySeries:
-    """A node of the equation DAG that fixed_point_solve builds once.
+# the round TruncSeries operations read their nodes out on: no unknown
+# belongs to it and no coefficient has its degree -1, so nothing is tainted
+_READOUT = _Round()
+_READOUT.k = -1
 
-    Coefficients are computed on demand, in degree order, and kept in cs.
-    A subclass's _next(n) computes coefficient n from its operands by the
-    formula and zero skips of the TruncSeries operation it stands for, so
-    each coefficient has that operation's value and Python type.  The base
-    class itself holds a TruncSeries or scalar operand, or an unknown: cs
-    holds its coefficients, and _next gives 0 after them.  Beyond order,
-    the least order of its operands, a node reads 0, as a TruncSeries
+
+def _node(x, var, order, rnd):
+    """x as a node of round rnd: a node as it is, a series through a copy of
+    its coefficients (no node writes to a series), and a scalar as the
+    constant series of that order and variable that pads it with zeros (a
+    float or a string is refused)."""
+    if isinstance(x, _LazySeries):
+        return x
+    if isinstance(x, TruncSeries):
+        return _LazySeries(x.var, x.order, rnd, x.coeffs)
+    return _LazySeries(var, order, rnd, (_as_coeff(x),))
+
+
+class _LazySeries:
+    """A series operation as a node: the one place its formula lives.
+
+    TruncSeries arithmetic builds a node and reads it out at once;
+    fixed_point_solve builds a DAG of them once, on lazy unknowns, and reads
+    it one degree per round.  Coefficients are computed on demand, in
+    degree order, and kept in cs.  A subclass's _next(n) computes
+    coefficient n from its operands, skipping zero terms by truth value, so
+    each coefficient has one value and one Python type whichever route
+    reads it.  The base class itself holds a series or scalar operand, or
+    an unknown: cs holds its coefficients, and _next gives 0 after them.
+    Beyond order, the least order of its operands, a node reads 0, as an
     operation truncates there and the solve pads."""
 
     __slots__ = ("var", "order", "rnd", "cs", "dirty")
@@ -618,17 +555,12 @@ class _LazySeries:
         return cs[n]
 
     def _operand(self, other):
-        """other as a node: a series as it is, a scalar as the constant
-        series TruncSeries._match pads it to; None for anything else."""
-        if isinstance(other, _LazySeries):
-            node = other
-        elif isinstance(other, TruncSeries):
-            node = _LazySeries(other.var, other.order, self.rnd, other.coeffs)
-        elif isinstance(other, (int, Fraction, SymbolPoly)):
-            return _LazySeries(self.var, self.order, self.rnd,
-                               (_as_coeff(other),))
-        else:
+        """other as a node of this round, in this node's variable; None for
+        a type to which a series operation gives NotImplemented."""
+        if not isinstance(other, (_LazySeries, TruncSeries, int, Fraction,
+                                  SymbolPoly)):
             return None
+        node = _node(other, self.var, self.order, self.rnd)
         if node.var != self.var:
             raise ValueError("variable mismatch")
         return node
@@ -751,14 +683,15 @@ class _Mul(_Op):
 
 
 class _Div(_Op):
-    """Coefficient n of a/b by the recurrence of TruncSeries.__truediv__."""
+    """Coefficient n of a/b by the quotient recurrence: a_n minus the
+    products of the known quotient with b, divided by the unit b_0."""
 
     __slots__ = ()
 
     def _next(self, n):
         b = self.b
         b0 = b.coeff(0)
-        if _coeff_is_zero(b0):
+        if not b0:
             raise NonUnitDivisor("division by series with zero constant term")
         b.coeff(n)
         B, Q = b.cs, self.cs
@@ -778,17 +711,17 @@ def fixed_point_solve(equation, seed, order, var="g"):
     and keeps a true Y_k as it is.
 
     The solve is online.  The equation runs once, on lazy unknowns, and
-    builds a DAG of memoised series nodes; it may use +, -, *, / and
-    integer ** on them, with series, int, Fraction and SymbolPoly operands,
-    and map_coeffs.  Round k pulls coefficient k of every output, reading
-    X_k as the seed when k = 0 and 0 after it; then it sets every X_k, and
-    each node whose coefficient k read that placeholder drops it, to be
-    recomputed from the true X_k when a later round needs it.  So each
-    coefficient of each node is computed once (twice where it read a
-    placeholder), and coefficient k is what equation(X truncated to order
-    k) gives there.  A final re-application at full order, on ordinary
-    series, must reproduce X exactly, otherwise the dependence was not
-    triangular.
+    builds a DAG of the memoised nodes that TruncSeries arithmetic reads
+    out at once; it may use +, -, *, / and integer ** on them, with series,
+    int, Fraction and SymbolPoly operands, and map_coeffs.  Round k pulls
+    coefficient k of every output, reading X_k as the seed when k = 0 and
+    0 after it; then it sets every X_k, and each node whose coefficient k
+    read that placeholder drops it, to be recomputed from the true X_k when
+    a later round needs it.  So each coefficient of each node is computed
+    once (twice where it read a placeholder), and coefficient k is what
+    equation(X truncated to order k) gives there.  A final re-application
+    at full order, on ordinary series, must reproduce X exactly, otherwise
+    the dependence was not triangular.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -800,13 +733,6 @@ def fixed_point_solve(equation, seed, order, var="g"):
                       else TruncSeries.const(var, y, k)).truncate(k)
                      for y in out)
 
-    def node(y):
-        if isinstance(y, _LazySeries):
-            return y
-        if isinstance(y, TruncSeries):
-            return _LazySeries(y.var, y.order, rnd, y.coeffs)
-        return _LazySeries(var, 0, rnd, (_as_coeff(y),))
-
     rnd = _Round()
     # an unknown's cs holds the coefficients solved so far and, in round k,
     # the placeholder X_k that pass k of an iteration over truncations read:
@@ -816,8 +742,8 @@ def fixed_point_solve(equation, seed, order, var="g"):
                      for s in (seed if system else (seed,)))
     for x in unknowns:
         x.dirty = True
-    outs = [node(y) for y in (equation(unknowns) if system
-                              else (equation(unknowns[0]),))]
+    outs = [_node(y, var, order, rnd) for y in (
+        equation(unknowns) if system else (equation(unknowns[0]),))]
     for k in range(order + 1):
         rnd.k = k
         if k:

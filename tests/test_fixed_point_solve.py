@@ -159,15 +159,28 @@ def test_two_unknowns_with_an_update_match_pass_loop(tx, ty, c, u, sx, sy):
 
 def test_zero_coefficients_keep_their_types():
     # a product skips zero terms, so a coefficient whose every term has a
-    # SymbolPoly zero factor is a Fraction zero; a quotient skips none
+    # SymbolPoly zero factor is a Fraction zero; a quotient skips none, so
+    # a SymbolPoly term keeps its coefficient a SymbolPoly, zero or not
     g = TruncSeries.gen("g", ORDER)
     t = _poly({(1, 0): 1})
     nil = _poly({})
-    solve_both(lambda x: 1 + (g * x) * (x * nil), 1)
-    solve_both(lambda x: 1 + (x * nil) * (g * x), 1)
-    solve_both(lambda x: 1 + g * (x * nil) * x, 1)
-    solve_both(lambda x: 1 + g * (t + g * x) / (1 + g * g * x), 0)
-    solve_both(lambda x: 1 + g * (x * t) / (1 - g * g), t)
+    for equation in (lambda x: 1 + (g * x) * (x * nil),
+                     lambda x: 1 + (x * nil) * (g * x),
+                     lambda x: 1 + g * (x * nil) * x):
+        got = fixed_point_solve(equation, 1, ORDER)
+        assert [type(c) for c in got.coeffs] == [F] * (ORDER + 1)
+        assert got.coeffs == [1] + [0] * ORDER
+    cases = [
+        (lambda x: 1 + g * (t + g * x) / (1 + g * g * x), 0,
+         [1, t, 1, nil, -t * t, -2 * t]),
+        (lambda x: 1 + g * (x * t) / (1 - g * g), t,
+         [1, t, t * t, t + t ** 3, 2 * t * t + t ** 4,
+          t + 3 * t ** 3 + t ** 5]),
+    ]
+    for equation, seed, want in cases:
+        got = fixed_point_solve(equation, seed, ORDER)
+        assert [type(c) for c in got.coeffs] == [F] + [SymbolPoly] * ORDER
+        assert got.coeffs == want
 
 
 def test_negative_power_matches_pass_loop():

@@ -318,6 +318,18 @@ def test_mc_profile_methods_agree():
         assert diff < 4 * sqrt(a[n][1] ** 2 + b[n][1] ** 2)
 
 
+def test_mc_profile_refuses_no_samples():
+    # with no samples the weights would sum to 0
+    for method in ("reweighted", "pointed"):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            mc_profile(5, 2, 0, 1, method=method)
+
+
+def test_mc_profile_refuses_a_negative_n_max():
+    with pytest.raises(ValueError, match="n_max must be >= 0"):
+        mc_profile(5, -1, 3, 1)
+
+
 def test_weighted_Rn_solve_refuses_float_weights():
     with pytest.raises(TypeError):
         weighted_Rn_solve([0.1], [1], 1)

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mapforge.series_core import (
-    BadConstantTerm, NonUnitDivisor, NotContracting, NotInvertible,
+    BadConstantTerm, NonUnitDivisor, NotContracting,
     SymbolPoly, TruncSeries, fixed_point_solve, rat_parse, rat_str,
 )
+
+from series_oracles import convolution, power, quotient
 
 
 def S(coeffs, var="g"):
@@ -62,38 +64,16 @@ def test_elementary_bad_constant():
         S([1, 1]).exp()
 
 
-def test_compose():
-    outer = S([1, 1, 1], var="x")
-    inner = TruncSeries.gen("g", 2)
-    assert outer.compose(inner).coeffs == [1, 1, 1]
-    outer2 = S([0, 1, F(-1, 2)], var="x")
-    inner2 = S([0, 2, 0])
-    assert outer2.compose(inner2).coeffs == [0, 2, -2]
-    with pytest.raises(BadConstantTerm):
-        outer.compose(S([1, 1]))
-
-
 def test_compose_log_exp_inverse():
+    # log and exp are inverse maps: exp(log f) = f for f_0 = 1, and
+    # log(exp h) = h for h_0 = 0
     g = TruncSeries.gen("g", 8)
-    em1 = g.exp() - 1
-    lg = S([1, 1], var="x").truncate(8).log()   # log(1+x) as outer
-    assert lg.compose(em1) == g
-
-
-def test_reversion_catalan():
-    a = S([0, 1, -1, 0, 0], var="z")
-    b = a.reversion()
-    assert b.coeffs == [0, 1, 1, 2, 5]
-    assert a.compose(b) == TruncSeries.gen("z", 4)
-
-
-def test_reversion_identity_and_errors():
-    z = TruncSeries.gen("z", 5)
-    assert z.reversion() == z
-    with pytest.raises(NotInvertible):
-        S([1, 1], var="z").reversion()
-    with pytest.raises(NotInvertible):
-        S([0, 0, 1], var="z").reversion()
+    f = 1 / (1 - g) ** 2 + g ** 3
+    assert f.log().exp() == f
+    h = 2 * g - F(1, 3) * g ** 2 + g ** 5
+    assert h.exp().log() == h
+    assert (1 + g).log() == S([0] + [F((-1) ** (k + 1), k)
+                                     for k in range(1, 9)])
 
 
 def test_fixed_point_quartic_R():
@@ -194,11 +174,36 @@ def test_sqrt_squares_back_over_laurent_polynomials(tail):
     assert f.sqrt() ** 2 == f
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.lists(rat, min_size=5, max_size=5))
-def test_reversion_roundtrip(tail):
-    a = TruncSeries("z", [F(0), F(1)] + tail)
-    assert a.compose(a.reversion()) == TruncSeries.gen("z", a.order)
+# series over both coefficient rings, of orders 0..5; a divisor's constant
+# term is a unit of its ring
+ring_coeff = st.one_of(rat, laurent_n)
+any_series = st.lists(ring_coeff, min_size=1, max_size=6).map(S)
+unit_series_n = st.builds(
+    lambda c0, tail: S([c0] + tail),
+    st.sampled_from([F(1), F(-2, 3), SymbolPoly(N_SYMS, {(1,): 1}, N_SYMS),
+                     SymbolPoly(N_SYMS, {(-1,): F(1, 2)}, N_SYMS)]),
+    st.lists(ring_coeff, max_size=5))
+
+
+def _assert_plain(got, want, order):
+    """got is the series "g" of this order whose coefficients equal want."""
+    assert (got.var, got.order) == ("g", order)
+    assert got.coeffs == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(any_series, any_series, unit_series_n)
+def test_arithmetic_matches_plain_recurrences(a, b, u):
+    _assert_plain(a * b, convolution(a.coeffs, b.coeffs),
+                  min(a.order, b.order))
+    _assert_plain(a / u, quotient(a.coeffs, u.coeffs),
+                  min(a.order, u.order))
+    _assert_plain(1 / u, quotient([F(1)] + [F(0)] * u.order, u.coeffs),
+                  u.order)
+    for k in range(-2, 5):
+        _assert_plain(u ** k, power(u.coeffs, k), u.order)
+        if k >= 0:
+            _assert_plain(a ** k, power(a.coeffs, k), a.order)
 
 
 def test_determinism():
