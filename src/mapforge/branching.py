@@ -40,6 +40,8 @@ class BranchingConfig:
             L = None
             if start < 0:
                 raise ValueError("start must be >= 0")
+        if t_max < 1:
+            raise ValueError("t_max must be >= 1")
         self.p = p
         self.start = start
         self.walls = walls

@@ -201,6 +201,8 @@ def _cmd_planar(args):
 def _cmd_genus(args):
     if args.order < 0:
         raise BadParameter("order must be >= 0")
+    if args.max_genus < 0:
+        raise BadParameter("max-genus must be >= 0")
     F = exact_free_energy_FN({4: args.g4}, args.order)
     table = genus_extract(F)
     results = {}
@@ -328,6 +330,8 @@ def _cmd_local(args):
 
 
 def _cmd_branching(args):
+    if args.samples < 0:
+        raise BadParameter("samples must be >= 0")
     if args.wall == "interval" and args.L is None:
         raise BadParameter("interval wall needs --L")
     cfg = BranchingConfig(args.p, start=args.n, walls=args.wall,

@@ -4,8 +4,8 @@ The transfer operator Q acts on a formal orthonormal basis by
 Q|n> = |n+1> + S_n|n> + R_n|n-1> with vanishing negative indices; the
 recursion R_n = 1 + sum_i g g_i <n-1|Q^{i-1}|n> (plus <n|V'(Q)|n> = 0
 fixing S_n when odd valences are present) is solved on a finite window
-whose tail is seeded with the translation-invariant bulk solution.  Each
-matrix element is planar_onecut.path_sum with a wall below height 0.
+whose tail is seeded with the translation-invariant bulk solution, by
+planar_onecut.string_equations with a wall below height 0.
 Every pure-quartic coefficient, alone or in a whole series, is read
 instead by Lagrange inversion of the closed form in the characteristic
 root (_quartic_area_terms), which is itself evaluated only at float g;
@@ -18,7 +18,8 @@ from functools import lru_cache
 from math import cosh, sinh, sqrt as fsqrt
 
 from .series_core import TruncSeries, fixed_point_solve
-from .planar_onecut import OutOfOneCut, Potential, path_sum, solve_one_cut
+from .planar_onecut import (OutOfOneCut, Potential, solve_one_cut,
+                            string_equations)
 
 
 class DomainError(ValueError):
@@ -44,7 +45,6 @@ def solve_Rn_series(weights, n_max, order):
     sol = solve_one_cut(V, order)
     even = V.is_even()
     top = n_max + order + 1
-    g = TruncSeries.gen("g", order)
 
     def equation(X):
         R, S = X[:top + 1], X[top + 1:]
@@ -61,18 +61,8 @@ def solve_Rn_series(weights, n_max, order):
 
         if even:
             level = None
-        newR, newS = [], []
-        for n in range(top + 1):
-            acc = 1
-            sacc = 0
-            for v, gv in V.couplings.items():
-                acc = acc + g * gv * path_sum(down, level, n, n - 1, v - 1,
-                                              order)
-                if not even:
-                    sacc = sacc + g * gv * path_sum(down, level, n, n, v - 1,
-                                                    order)
-            newR.append(acc)
-            newS.append(sacc)
+        newR, newS = zip(*(string_equations(V, down, level, n, 1, order)
+                           for n in range(top + 1)))
         return newR + newS
 
     X = fixed_point_solve(equation, (1,) * (top + 1) + (0,) * (top + 1), order)

@@ -218,6 +218,10 @@ def local_weight_average(A, order=None):
     origin."""
     if order is None:
         order = A
+    if A < 1:
+        raise ValueError("area A must be >= 1")
+    if order < A:
+        raise ValueError("order must be >= A")
     G = unrooted_Gamma0(order).coeffs[A]
     norm = G.subs(rho=1, sigma=1)
     return G / norm

@@ -12,8 +12,8 @@ The ratios solve the string equations m/N = <m-1|V'(Q)|m> and
 0 = <m|V'(Q)|m>, Q carrying weight r_p per down step and s_p per level
 step from height p.  exact_free_energy_FN solves them for r and s as
 series in g whose coefficients are polynomials in m (and Laurent in N),
-reading the matrix elements through planar_onecut.path_sum with heights
-as offsets from m.  No wall at height 0 is needed: at m = 0 every term of
+through planar_onecut.string_equations, with path-sum heights as offsets
+from m.  No wall at height 0 is needed: at m = 0 every term of
 the equation for r carries r(0), so r(0) = 0 as a series and the
 polynomial solution is the walled one at every m >= 1.  The upper limit N
 of the sum is handled symbolically: at each g-order the summand
@@ -32,7 +32,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
-from .planar_onecut import EvenOnly, Potential, path_sum, solve_one_cut
+from .planar_onecut import (EvenOnly, Potential, path_sum, solve_one_cut,
+                            string_equations)
 from .wick_fatgraphs import vertex_profiles
 
 NSYM = ("N",)
@@ -137,8 +138,6 @@ def string_equation_ratios(couplings, order):
     m_over_N = SymbolPoly(MN, {(1, -1): 1}, NLAU)
 
     def equation(X):
-        g = TruncSeries.gen("g", order)
-
         def shifted(series):
             cache = {}
 
@@ -150,13 +149,7 @@ def string_equation_ratios(couplings, order):
 
         down = shifted(X[0])
         level = None if even else shifted(X[1])
-        newR, newS = m_over_N, 0
-        for v, gi in V.couplings.items():
-            newR = newR + g * gi * path_sum(down, level, 0, -1, v - 1, order)
-            if not even:
-                newS = newS + g * gi * path_sum(down, level, 0, 0, v - 1,
-                                                order)
-        return newR, newS
+        return string_equations(V, down, level, 0, m_over_N, order)
 
     return fixed_point_solve(equation, (m_over_N, 0), order)
 
@@ -306,22 +299,20 @@ def log_ratio_terms(couplings, order, M):
 
 
 def string_recursion_residual(couplings, r_window, m):
-    """m/N minus <m-1|V'(Q)|m>; zero for true solutions.
+    """<m-1|V'(Q)|m> minus m/N (r_m minus its string equation's right-hand
+    side); zero for true solutions.
 
     r_window maps index -> series; the path_sum walk has a wall at 0 and
     weight r_p per down step from height p.
     """
     order = r_window[m].order
-    g = TruncSeries.gen("g", order)
 
     def down(h):
         return r_window[h] if h > 0 else None
 
-    acc = path_sum(down, None, m, m - 1, 1, order)
-    for v, gi in couplings.items():
-        acc = acc - g * gi * path_sum(down, None, m, m - 1, v - 1, order)
-    target = TruncSeries.const("g", _N(-1) * m, order)
-    return acc - target
+    rhs, _ = string_equations(Potential(couplings), down, None, m,
+                              _N(-1) * m, order)
+    return path_sum(down, None, m, m - 1, 1, order) - rhs
 
 
 def genus_extract(F):

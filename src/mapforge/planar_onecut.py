@@ -10,7 +10,8 @@ with V'_m the coefficient of w^m in V'(w + S + R/w) determines R and S
 order by order.  For even potentials S vanishes identically and the first
 equation is trivial.  V'_m is the matrix element <m|V'(Q)|0> of the
 transfer operator with constant weights R and S; path_sum evaluates every
-such <m|Q^k|n>, here and in geodesic and ortho_genus.
+such <m|Q^k|n>.  Solved for R and S, the residue system is the string
+equations, which string_equations writes once for every solver.
 """
 
 from fractions import Fraction
@@ -95,26 +96,28 @@ def _bulk_weights(V, R, S):
     return (lambda h: R), (None if V.is_even() else lambda h: S)
 
 
+def string_equations(V, down, level, n, first, order):
+    """(first + sum_v g g_v <n-1|Q^{v-1}|n>, sum_v g g_v <n|Q^{v-1}|n>),
+    the right-hand sides of the string equations for R_n and S_n, with Q's
+    weights down and level as in path_sum; S_n is 0 when level is None."""
+    g = TruncSeries.gen("g", order)
+    R, S = first, 0
+    for v, gv in V.couplings.items():
+        c = g * gv
+        R = R + c * path_sum(down, level, n, n - 1, v - 1, order)
+        if level is not None:
+            S = S + c * path_sum(down, level, n, n, v - 1, order)
+    return R, S
+
+
 def solve_one_cut(V, order):
-    """Series solution with R = 1 + O(g), S = O(g)."""
-    even = V.is_even()
+    """Series solution with R = 1 + O(g), S = O(g) of the string
+    equations in the bulk."""
 
     def equation(X):
-        # R = 1 + sum g_i <-1|Q^{i-1}|0>,  S = sum g_i <0|Q^{i-1}|0>
-        g = TruncSeries.gen("g", order)
-        down, level = _bulk_weights(V, *X)
-        newR, newS = 1, 0
-        for v, gi in V.couplings.items():
-            newR = newR + g * gi * path_sum(down, level, 0, -1, v - 1, order)
-            if not even:
-                newS = newS + g * gi * path_sum(down, level, 0, 0, v - 1,
-                                                order)
-        return newR, newS
+        return string_equations(V, *_bulk_weights(V, *X), 0, 1, order)
 
-    sol = OneCutSolution(*fixed_point_solve(equation, (1, 0), order))
-    assert residue_coeff(V, sol, 0).is_zero()
-    assert residue_coeff(V, sol, -1) == 1
-    return sol
+    return OneCutSolution(*fixed_point_solve(equation, (1, 0), order))
 
 
 @lru_cache(maxsize=None)
@@ -135,7 +138,7 @@ def _scale_coupling(series, g4):
 
 def quartic_solution(g4, order):
     """solve_one_cut(Potential.quartic(g4), order), read off the unit
-    solution by rescaling, with solve_one_cut's residue checks."""
+    solution by rescaling, whose residue system is checked here."""
     V = Potential.quartic(g4)
     unit = unit_quartic_solution(order)
     g4 = Fraction(g4)

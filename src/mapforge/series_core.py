@@ -394,6 +394,8 @@ class TruncSeries:
             return NotImplemented
         elif other.var != self.var:
             raise ValueError("variable mismatch")
+        elif other.order != self.order:
+            return False
         return all(map(eq, self.coeffs, other.coeffs))
 
     def __repr__(self):
@@ -726,13 +728,6 @@ def fixed_point_solve(equation, seed, order, var="g"):
     if order < 0:
         raise ValueError("order must be >= 0")
     system = isinstance(seed, tuple)
-
-    def apply(xs, k):
-        out = equation(xs) if system else (equation(xs[0]),)
-        return tuple((y if isinstance(y, TruncSeries)
-                      else TruncSeries.const(var, y, k)).truncate(k)
-                     for y in out)
-
     rnd = _Round()
     # an unknown's cs holds the coefficients solved so far and, in round k,
     # the placeholder X_k that pass k of an iteration over truncations read:
@@ -757,6 +752,9 @@ def fixed_point_solve(equation, seed, order, var="g"):
             done.dirty = False
         rnd.dirty = []
     xs = tuple(TruncSeries(y.var, x.cs) for x, y in zip(unknowns, outs))
-    if apply(xs, order) != xs:
+    again = equation(xs) if system else (equation(xs[0]),)
+    if tuple((y if isinstance(y, TruncSeries)
+              else TruncSeries.const(var, y, order)).truncate(order)
+             for y in again) != xs:
         raise NotContracting("fixed point iteration did not stabilize")
     return xs if system else xs[0]

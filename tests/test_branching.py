@@ -174,5 +174,9 @@ def test_config_validation():
         BranchingConfig(0.3, walls="interval")
     with pytest.raises(ValueError):
         BranchingConfig(0.3, start=9, walls="interval", L=4)
+    for t_max in (0, -1):
+        # every run would be censored, and the estimate nan
+        with pytest.raises(ValueError, match="t_max must be >= 1"):
+            BranchingConfig(0.3, t_max=t_max)
     with pytest.raises(ValueError):
         escape_interval(BranchingConfig(0.3), 10)

@@ -253,6 +253,13 @@ def test_metadata_echoes_parameters(capsys):
     (("genus", "--order", "-1"), "BadParameter: order must be >= 0\n"),
     (("oracle", "--weights", "g4=1", "--order", "-1"),
      "BadParameter: order must be >= 0\n"),
+    (("genus", "--max-genus", "-1"), "BadParameter: max-genus must be >= 0\n"),
+    (("branching", "--p", "0.3", "--samples", "-3"),
+     "BadParameter: samples must be >= 0\n"),
+    (("branching", "--p", "0.3", "--t-max", "0"),
+     "ValueError: t_max must be >= 1\n"),
+    (("branching", "--p", "0.3", "--t-max", "-1"),
+     "ValueError: t_max must be >= 1\n"),
 ])
 def test_negative_sizes_exit_2(capsys, argv, message):
     code = main(list(argv))

@@ -27,6 +27,19 @@ def test_gaussian_solution():
     assert residue_coeff(V, sol, -1) == 1
 
 
+@pytest.mark.parametrize("order", [3, 8])
+@pytest.mark.parametrize("couplings", [
+    {}, {4: 1}, {3: 1}, {4: 1, 6: 1}, {1: F(1, 2), 3: 1},
+])
+def test_residue_system_holds(couplings, order):
+    # V'_0 = 0 and V'_{-1} = 1, the one-cut conditions, read through
+    # residue_coeff and not through the string equations the solver uses
+    V = Potential(couplings)
+    sol = solve_one_cut(V, order)
+    assert residue_coeff(V, sol, 0).is_zero()
+    assert residue_coeff(V, sol, -1) == 1
+
+
 def test_quartic_R():
     sol = solve_one_cut(Potential.quartic(), 3)
     assert sol.R.coeffs == [1, 3, 18, 135]

@@ -41,6 +41,18 @@ def test_min_order_truncation():
     assert (a * b).order == 1
 
 
+def test_equality_needs_the_same_order():
+    # a series is its coefficients and its truncation order: one more
+    # known coefficient makes a different series, in both directions
+    assert S([1, 2, 3]) != S([1, 2])
+    assert S([1, 2]) != S([1, 2, 3])
+    assert S([1, 2, 0]) != S([1, 2])
+    assert S([1, 2, 3]) == S([1, 2, 3])
+    assert S([3, 0]) == 3
+    with pytest.raises(ValueError, match="variable mismatch"):
+        S([1, 2]) == TruncSeries("x", [1, 2, 3])
+
+
 def test_div_nonunit_raises():
     with pytest.raises(NonUnitDivisor):
         S([0, 1, 2]) / S([0, 1, 1])
