@@ -138,15 +138,11 @@ def _scale_coupling(series, g4):
 
 def quartic_solution(g4, order):
     """solve_one_cut(Potential.quartic(g4), order), read off the unit
-    solution by rescaling, whose residue system is checked here."""
-    V = Potential.quartic(g4)
+    solution by rescaling."""
     unit = unit_quartic_solution(order)
     g4 = Fraction(g4)
-    sol = OneCutSolution(_scale_coupling(unit.R, g4),
-                         _scale_coupling(unit.S, g4))
-    assert residue_coeff(V, sol, 0).is_zero()
-    assert residue_coeff(V, sol, -1) == 1
-    return sol
+    return OneCutSolution(_scale_coupling(unit.R, g4),
+                          _scale_coupling(unit.S, g4))
 
 
 def residue_coeff(V, sol, m):

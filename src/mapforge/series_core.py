@@ -8,6 +8,7 @@ truncate to the minimum order of the operands.
 """
 
 from fractions import Fraction
+from math import lcm
 from operator import add, eq, neg, sub
 
 
@@ -287,6 +288,34 @@ def _as_coeff(c):
                     "SymbolPoly" % (c,))
 
 
+def _dot(xs, ys):
+    """The sum of x*y over the pairs of xs and ys, added in order.
+
+    When every factor is a Fraction, the sum is reduced once, by Henrici's
+    rule (Knuth, TAOCP vol. 2, 4.5.1): the numerator products are summed
+    over a running common denominator and one Fraction is built at the end,
+    where acc + x*y would normalise twice per term.  Otherwise (a SymbolPoly
+    factor) the plain loop acc + x*y runs from Fraction(0), so that sum keeps
+    its value, repr and Python type.  A sum of fewer than two terms is x*y,
+    or Fraction(0)."""
+    if len(xs) < 2:
+        return xs[0] * ys[0] if xs else Fraction(0)
+    if {*map(type, xs), *map(type, ys)} != {Fraction}:
+        acc = Fraction(0)
+        for x, y in zip(xs, ys):
+            acc = acc + x * y
+        return acc
+    num, den = 0, 1
+    for x, y in zip(xs, ys):
+        q = x.denominator * y.denominator
+        if den % q:
+            m = lcm(den, q)
+            num *= m // den
+            den = m
+        num += x.numerator * y.numerator * (den // q)
+    return Fraction(num, den)
+
+
 def _coeff_div(a, b):
     """a/b where b must be a unit of the coefficient ring."""
     if isinstance(b, (int, Fraction)):
@@ -432,7 +461,7 @@ class TruncSeries:
         """h = exp(f) from h' = f'h:  n h_n = sum_{k=1..n} k f_k h_{n-k}."""
         if self.coeffs[0]:
             raise BadConstantTerm("exp needs constant term 0")
-        return self._unit_recurrence(lambda n, k: k)
+        return self._unit_recurrence(lambda n, k: k, 1)
 
     def sqrt(self):
         return self.pow_frac(Fraction(1, 2))
@@ -441,25 +470,24 @@ class TruncSeries:
         """(series)^r for rational r, constant term must be 1.
 
         J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7), from
-        f h' = r f' h with f_0 = 1:
-        n h_n = sum_{k=1..n} ((r+1)k - n) f_k h_{n-k}.
+        f h' = r f' h with f_0 = 1, in integers p/q = r + 1:
+        q n h_n = sum_{k=1..n} (p k - q n) f_k h_{n-k}.
         """
         if self.coeffs[0] != 1:
             raise BadConstantTerm("pow needs constant term 1")
         r1 = Fraction(r) + 1
-        return self._unit_recurrence(lambda n, k: r1 * k - n)
+        p, q = r1.numerator, r1.denominator
+        return self._unit_recurrence(lambda n, k: p * k - q * n, q)
 
-    def _unit_recurrence(self, weight):
-        """h with h_0 = 1 and n h_n = sum_{k=1..n} weight(n, k) f_k h_{n-k},
-        f being self."""
+    def _unit_recurrence(self, weight, q):
+        """h with h_0 = 1 and q n h_n = sum_{k=1..n} weight(n, k) f_k h_{n-k},
+        f being self and each weight an int."""
         f = self.coeffs
         h = [Fraction(1)]
         for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                if f[k]:
-                    acc = acc + weight(n, k) * f[k] * h[n - k]
-            h.append(acc / n)
+            ks = [k for k in range(1, n + 1) if f[k]]
+            h.append(_dot([weight(n, k) * f[k] for k in ks],
+                          [h[n - k] for k in ks]) / (q * n))
         return TruncSeries(self.var, h)
 
     def derivative(self):
@@ -514,7 +542,7 @@ class _LazySeries:
     fixed_point_solve builds a DAG of them once, on lazy unknowns, and reads
     it one degree per round.  Coefficients are computed on demand, in
     degree order, and kept in cs.  A subclass's _next(n) computes
-    coefficient n from its operands, skipping zero terms by truth value, so
+    coefficient n from its operands, its sums of products through _dot, so
     each coefficient has one value and one Python type whichever route
     reads it.  The base class itself holds a series or scalar operand, or
     an unknown: cs holds its coefficients, and _next gives 0 after them.
@@ -659,12 +687,13 @@ class _Mul(_Op):
 
     def _next(self, n):
         a, b = self.a, self.b
-        acc = Fraction(0)
+        xs, ys = [], []
         x = a.coeff(0)
         if x:
             y = b.coeff(n)
             if y:
-                acc = acc + x * y
+                xs.append(x)
+                ys.append(y)
         if n:
             # degrees below n are final: read them in place
             a.coeff(n - 1)
@@ -675,13 +704,15 @@ class _Mul(_Op):
                 if x:
                     y = B[n - i]
                     if y:
-                        acc = acc + x * y
+                        xs.append(x)
+                        ys.append(y)
             y = B[0]
             if y:
                 x = a.coeff(n)
                 if x:
-                    acc = acc + x * y
-        return acc
+                    xs.append(x)
+                    ys.append(y)
+        return _dot(xs, ys)
 
 
 class _Div(_Op):
@@ -696,10 +727,7 @@ class _Div(_Op):
         if not b0:
             raise NonUnitDivisor("division by series with zero constant term")
         b.coeff(n)
-        B, Q = b.cs, self.cs
-        acc = self.a.coeff(n)
-        for j in range(n):
-            acc = acc - Q[j] * B[n - j]
+        acc = self.a.coeff(n) - _dot(self.cs[:n], b.cs[n:0:-1])
         return _coeff_div(acc, b0)
 
 

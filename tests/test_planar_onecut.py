@@ -11,7 +11,8 @@ from mapforge.wick_fatgraphs import catalan, connected_free_energy_F
 from mapforge.planar_onecut import (
     EvenOnly, OutOfOneCut, Potential, gamma_one, gamma_one_one,
     gamma_two_sameface, planar_free_energy, quartic_closed_form_f,
-    path_sum, r_of_z, residue_coeff, solve_one_cut, spectral_density_eval,
+    path_sum, quartic_solution, r_of_z, residue_coeff, solve_one_cut,
+    spectral_density_eval,
 )
 
 
@@ -38,6 +39,19 @@ def test_residue_system_holds(couplings, order):
     sol = solve_one_cut(V, order)
     assert residue_coeff(V, sol, 0).is_zero()
     assert residue_coeff(V, sol, -1) == 1
+
+
+@pytest.mark.parametrize("order", [6, 20])
+@pytest.mark.parametrize("g4", [F(1, 2), 2, F(-1, 12), F(3, 7)])
+def test_quartic_rescaling_solves_the_residue_system(g4, order):
+    # the unit quartic solution rescaled by g4 meets V'_0 = 0, V'_{-1} = 1
+    # for V = quartic(g4), and equals that potential's own one-cut solve
+    V = Potential.quartic(g4)
+    sol = quartic_solution(g4, order)
+    assert residue_coeff(V, sol, 0).is_zero()
+    assert residue_coeff(V, sol, -1) == 1
+    direct = solve_one_cut(V, order)
+    assert sol.R == direct.R and sol.S == direct.S
 
 
 def test_quartic_R():

@@ -2,11 +2,11 @@ from fractions import Fraction as F
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mapforge.series_core import (
     BadConstantTerm, NonUnitDivisor, NotContracting,
-    SymbolPoly, TruncSeries, fixed_point_solve, rat_parse, rat_str,
+    SymbolPoly, TruncSeries, _dot, fixed_point_solve, rat_parse, rat_str,
 )
 
 from series_oracles import convolution, power, quotient
@@ -223,6 +223,59 @@ def test_determinism():
     x = (a * a / a).log().exp()
     y = (a * a / a).log().exp()
     assert x.coeffs == y.coeffs == a.coeffs
+
+
+def _plain_dot(xs, ys):
+    acc = F(0)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+# zero numerators and integral values, small fractions, and large
+# numerators over large pairwise coprime denominators
+dot_rat = st.one_of(
+    st.builds(F, st.integers(-3, 3)),
+    rat,
+    st.builds(F, st.integers(-10 ** 40, 10 ** 40),
+              st.sampled_from([2 ** 61 - 1, 2 ** 89 - 1, 10 ** 9 + 7,
+                               3 ** 40, 5 ** 30])),
+)
+dot_pairs = st.one_of(
+    st.lists(st.tuples(dot_rat, dot_rat), max_size=8),
+    st.lists(st.tuples(st.one_of(dot_rat, laurent_n),
+                       st.one_of(dot_rat, laurent_n)), max_size=8),
+)
+
+
+@settings(deadline=None)
+@given(dot_pairs)
+@example([])
+@example([(F(2, 3), F(3, 4))])
+@example([(F(1, 2), SymbolPoly(N_SYMS, {(1,): 2}, N_SYMS))])
+@example([(F(1, 2 ** 61 - 1), F(1)), (F(-1, 10 ** 9 + 7), F(1)),
+          (F(3, 2 ** 61 - 1), F(1))])
+def test_dot_matches_the_plain_loop(pairs):
+    # in value, repr and Python type, over Fractions and SymbolPoly mixes
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    got, want = _dot(xs, ys), _plain_dot(xs, ys)
+    assert type(got) is type(want)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_quotient_with_zero_symbolpoly_products_keeps_its_types():
+    # every product of the recurrence has a SymbolPoly zero factor: the
+    # coefficients after the first are SymbolPoly, zero or not, as the
+    # left fold a_n - q_0 b_n - ... makes them
+    zero = SymbolPoly(N_SYMS, {}, N_SYMS)
+    b = S([F(1), zero, zero, zero])
+    q = S([F(1), F(2), F(0), F(-1, 3)]) / b
+    assert [type(c) for c in q.coeffs] == [F, SymbolPoly, SymbolPoly,
+                                          SymbolPoly]
+    assert q.coeffs == [1, 2, 0, F(-1, 3)]
+    assert not q.coeffs[2]
 
 
 def test_symbol_poly_laurent():
