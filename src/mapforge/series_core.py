@@ -461,7 +461,7 @@ class TruncSeries:
         """h = exp(f) from h' = f'h:  n h_n = sum_{k=1..n} k f_k h_{n-k}."""
         if self.coeffs[0]:
             raise BadConstantTerm("exp needs constant term 0")
-        return self._unit_recurrence(lambda n, k: k, 1)
+        return self._unit_recurrence(1, 1, 0)
 
     def sqrt(self):
         return self.pow_frac(Fraction(1, 2))
@@ -477,17 +477,21 @@ class TruncSeries:
             raise BadConstantTerm("pow needs constant term 1")
         r1 = Fraction(r) + 1
         p, q = r1.numerator, r1.denominator
-        return self._unit_recurrence(lambda n, k: p * k - q * n, q)
+        return self._unit_recurrence(p, q, q)
 
-    def _unit_recurrence(self, weight, q):
-        """h with h_0 = 1 and q n h_n = sum_{k=1..n} weight(n, k) f_k h_{n-k},
-        f being self and each weight an int."""
+    def _unit_recurrence(self, p, q, s):
+        """h with h_0 = 1, q n h_n = p sum k f_k h_{n-k} - s n sum f_k h_{n-k}
+        (sums over k = 1..n, f being self); each p k f_k is formed once."""
         f = self.coeffs
+        pkf = [p * k * c for k, c in enumerate(f)]
         h = [Fraction(1)]
         for n in range(1, self.order + 1):
             ks = [k for k in range(1, n + 1) if f[k]]
-            h.append(_dot([weight(n, k) * f[k] for k in ks],
-                          [h[n - k] for k in ks]) / (q * n))
+            hs = [h[n - k] for k in ks]
+            t = _dot([pkf[k] for k in ks], hs)
+            if s:
+                t = t - s * n * _dot([f[k] for k in ks], hs)
+            h.append(t / (q * n))
         return TruncSeries(self.var, h)
 
     def derivative(self):
@@ -511,16 +515,15 @@ class _Round:
 
     __slots__ = ("k", "taint", "dirty")
 
-    def __init__(self):
-        self.k = 0
+    def __init__(self, k):
+        self.k = k
         self.taint = False
         self.dirty = []
 
 
 # the round TruncSeries operations read their nodes out on: no unknown
 # belongs to it and no coefficient has its degree -1, so nothing is tainted
-_READOUT = _Round()
-_READOUT.k = -1
+_READOUT = _Round(-1)
 
 
 def _node(x, var, order, rnd):
@@ -749,18 +752,17 @@ def fixed_point_solve(equation, seed, order, var="g"):
     read that placeholder drops it, to be recomputed from the true X_k when
     a later round needs it.  So each coefficient of each node is computed
     once (twice where it read a placeholder), and coefficient k is what
-    equation(X truncated to order k) gives there.  A final re-application
-    at full order, on ordinary series, must reproduce X exactly, otherwise
-    the dependence was not triangular.
+    equation(X truncated to order k) gives there.  The round then re-reads
+    coefficient k of every output: no node reads above its own degree, so
+    that is F(X)_k, and it must equal X_k, or the map is not triangular.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     system = isinstance(seed, tuple)
-    rnd = _Round()
-    # an unknown's cs holds the coefficients solved so far and, in round k,
-    # the placeholder X_k that pass k of an iteration over truncations read:
-    # the seed at k = 0, the padding 0 after it; dirty, as a read of it
-    # taints the reader
+    rnd = _Round(0)
+    # an unknown's cs holds the solved coefficients and, in round k, the
+    # placeholder X_k a pass over truncations read (the seed at k = 0, the
+    # padding 0 after it); it is dirty, so reading X_k taints the reader
     unknowns = tuple(_LazySeries(var, order, rnd, (_as_coeff(s),))
                      for s in (seed if system else (seed,)))
     for x in unknowns:
@@ -779,10 +781,8 @@ def fixed_point_solve(equation, seed, order, var="g"):
             done.cs.pop()
             done.dirty = False
         rnd.dirty = []
+        rnd.k = -1
+        if [y.coeff(k) for y in outs] != xk:
+            raise NotContracting("fixed point iteration did not stabilize")
     xs = tuple(TruncSeries(y.var, x.cs) for x, y in zip(unknowns, outs))
-    again = equation(xs) if system else (equation(xs[0]),)
-    if tuple((y if isinstance(y, TruncSeries)
-              else TruncSeries.const(var, y, order)).truncate(order)
-             for y in again) != xs:
-        raise NotContracting("fixed point iteration did not stabilize")
     return xs if system else xs[0]

@@ -224,7 +224,95 @@ def test_callers_match_pass_loop(name, order, monkeypatch):
     assert_same(got, call(order))
 
 
-# --- errors, and large orders at the default recursion limit ------------
+def eagerly_checked(orders):
+    """fixed_point_solve, then the equation applied once more to the
+    answer, on ordinary series at full order, which must reproduce it.
+    That checks X = equation(X) with the node formulas but without the
+    solver's rounds and taint bookkeeping, which its own per-round check
+    relies on.  Each solve appends its order to orders."""
+
+    def solve(equation, seed, order, var="g"):
+        got = fixed_point_solve(equation, seed, order, var)
+        xs = got if isinstance(seed, tuple) else (got,)
+        again = equation(xs) if isinstance(seed, tuple) else (equation(got),)
+        assert tuple((y if isinstance(y, TruncSeries)
+                      else TruncSeries.const(var, y, order)).truncate(order)
+                     for y in again) == xs
+        orders.append(order)
+        return got
+    return solve
+
+
+# the callers whose coefficients are polynomials in several symbols take
+# seconds at order 20 (weighted_Zn_solve minutes): they stop lower
+TOP_ORDER = {"quartic_R0_rho_sigma": 12, "string_equation_ratios": 12,
+             "weighted_Zn_solve": 8}
+
+
+@pytest.mark.parametrize("name, order", [
+    (name, order) for name in sorted(CALLERS)
+    for order in (2, 5, TOP_ORDER.get(name, 20))])
+def test_callers_reproduce_their_answer_at_full_order(name, order,
+                                                      monkeypatch):
+    module, call = CALLERS[name]
+    orders = []
+    monkeypatch.setattr(module, "fixed_point_solve", eagerly_checked(orders))
+    call(order)
+    assert orders == [order]
+
+
+# --- edge cases, errors, and large orders at the default recursion limit -
+
+G2, G4 = TruncSeries.gen("g", 2), TruncSeries.gen("g", 4)
+N_ONE = SymbolPoly(SYMS, {(0, 1): 1}, LAURENT)
+STABLE = "fixed point iteration did not stabilize"
+
+
+@pytest.mark.parametrize("equation, seed, order, want", [
+    # an output of a lower order reads 0 beyond it: the answer is padded
+    (lambda x: 1 + G2 * x, 1, 4, [[F(1), F(1), F(1), F(0), F(0)]]),
+    # a scalar output is the constant series of the solve's order
+    (lambda x: F(3, 2), 0, 3, [[F(3, 2), F(0), F(0), F(0)]]),
+    (lambda x: N_ONE, 0, 2, [[N_ONE, F(0), F(0)]]),
+    # an output that is an unknown keeps its seed and the padding 0
+    (lambda x: x, 5, 2, [[F(5), F(0), F(0)]]),
+    (lambda xy: (xy[1], xy[0]), (1, 1), 2, [[F(1), F(0), F(0)]] * 2),
+    # Y + g^2 (1 - Y) reads Y_k with weight 1 and Y_0 = 2 in degree 2:
+    # it is a fixed point up to degree 1 and fails in degree 2
+    (lambda y: y + G4 * G4 * (1 - y), 2, 1, [[F(2), F(0)]]),
+    (lambda y: y + G4 * G4 * (1 - y), 2, 4, NotContracting),
+    # each unknown needs the other's coefficient of the same degree
+    (lambda xy: (xy[1] + 1, xy[0]), (0, 0), 3, NotContracting),
+    (lambda xy: (xy[1], xy[0]), (1, 2), 2, NotContracting),
+], ids=["lower_order_output", "fraction_output", "symbolpoly_output",
+        "identity", "swap_equal_seeds", "late_failure_below_its_degree",
+        "late_failure", "tuple_same_degree", "swap_unequal_seeds"])
+def test_edge_cases_of_the_fixed_point_check(equation, seed, order, want):
+    if want is NotContracting:
+        with pytest.raises(NotContracting, match=STABLE):
+            fixed_point_solve(equation, seed, order)
+        return
+    got = fixed_point_solve(equation, seed, order)
+    got = got if isinstance(seed, tuple) else (got,)
+    assert_same(got, tuple(TruncSeries("g", cs) for cs in want))
+
+
+def test_a_coefficient_that_read_a_placeholder_is_computed_twice():
+    # M reads X_k in round k, so its coefficient k is dropped once X_k is
+    # set and recomputed from it by the round's check, then kept: each
+    # coefficient of M is computed twice, and no more
+    calls = []
+
+    def count(c):
+        calls.append(c)
+        return c
+
+    g = TruncSeries.gen("g", ORDER)
+    got = fixed_point_solve(lambda x: x.map_coeffs(count) - x + 1 + g * x,
+                            1, ORDER)
+    assert got.coeffs == [1] * (ORDER + 1)
+    assert len(calls) == 2 * (ORDER + 1)
+
 
 def test_non_triangular_update_raises_not_contracting():
     # Y reads Y_k with the wrong weight: the update does not return Y_k
