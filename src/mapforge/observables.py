@@ -94,22 +94,30 @@ def _exact_quotient(symbols, num, den):
     def quotient(p):
         if not isinstance(p, SymbolPoly):
             p = SymbolPoly.const(symbols, p)
-        terms = dict(p.terms)
+        # The term c*x^e of top rho-degree r is c*x^(e-rho-sigma) times
+        # (rho*sigma - 1) plus c*x^(e-rho-sigma), of rho-degree r - 1; so
+        # the terms are taken a rho-degree at a time, top down, each one
+        # final once the degree above it is done.
+        buckets = {}
+        for e, c in p.terms.items():
+            buckets.setdefault(e[ri], {})[e] = c
         out = {}
-        while terms:
-            e = max(terms, key=lambda t: t[ri])
-            if e[ri] < 1:
-                raise ArithmeticError("polynomial not divisible by %s*%s-1"
-                                      % (num, den))
-            c = terms.pop(e)
-            qe = list(e)
-            qe[ri] -= 1
-            qe[si] -= 1
-            qe = tuple(qe)
-            out[qe] = out.get(qe, 0) + c
-            terms[qe] = terms.get(qe, 0) + c
-            if terms[qe] == 0:
-                del terms[qe]
+        for r in range(max(buckets, default=0), 0, -1):
+            below = buckets.setdefault(r - 1, {})
+            for e, c in buckets.pop(r, {}).items():
+                qe = list(e)
+                qe[ri] -= 1
+                qe[si] -= 1
+                qe = tuple(qe)
+                out[qe] = c
+                rest = below.get(qe, 0) + c
+                if rest:
+                    below[qe] = rest
+                else:
+                    del below[qe]
+        if any(buckets.values()):
+            raise ArithmeticError("polynomial not divisible by %s*%s-1"
+                                  % (num, den))
         return SymbolPoly(symbols, out)
 
     return quotient

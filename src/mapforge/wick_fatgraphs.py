@@ -1,4 +1,4 @@
-"""Brute-force Gaussian matrix-integral oracle.
+"""Gaussian matrix-integral oracle: Wick pairings of star vertices.
 
 Star diagrams are laid out as labeled darts 0..2E-1 grouped per vertex in
 counterclockwise order; a Wick pairing is a fixed-point-free involution
@@ -6,9 +6,16 @@ alpha on the darts.  Faces are the cycles of sigma∘alpha and each pairing
 contributes N^(F-E).  Labeled counting together with the (N g_i)^{n_i} /
 (i^{n_i} n_i!) prefactors reproduces 1/|Aut| automatically, so no
 isomorphism machinery appears anywhere.
+
+gaussian_trace_average counts the pairings by face number without listing
+them: contracting the edge at one dart leaves a star diagram whose count
+depends only on its valences (Tutte's recursion for maps), memoised per
+sorted valence tuple.  enumerate_pairings lists the (2E-1)!! pairings one
+by one and serves as its independent test oracle.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 from operator import eq
 
@@ -136,7 +143,11 @@ def _pairings(n):
 
 
 def enumerate_pairings(profile, cap=DEFAULT_CAP):
-    """Stream of CombinatorialMap over all Wick pairings of the profile."""
+    """Stream of CombinatorialMap over all Wick pairings of the profile.
+
+    Lists all (2E-1)!! pairings; the independent test oracle for
+    gaussian_trace_average, which counts them without listing them.
+    """
     n = sum(v * m for v, m in profile.items())
     if n > cap:
         raise TooLarge("profile has %d half-edges, cap is %d" % (n, cap))
@@ -171,19 +182,37 @@ def faces_and_genus(m):
     return len(verts), m.n_darts // 2, len(faces), genera
 
 
-def _face_count(sigma, alpha):
-    n = len(sigma)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
+@lru_cache(maxsize=None)
+def _face_histogram(valences):
+    """{faces: number of pairings} over the Wick pairings of star vertices
+    of the given valences (a sorted tuple without zeros).
+
+    The dart a on the first vertex, of valence L, is paired first.  A
+    partner p darts after a on the same vertex splits it into vertices of
+    valences p and L-2-p; a partner on a vertex of valence L' (L' choices)
+    merges the two into one of valence L+L'-2.  Every other face survives
+    the contraction; a new valence of 0 is a face that only a and b bound.
+    """
+    if not valences:
+        return {0: 1}
+    L, rest = valences[0], valences[1:]
+    out = {}
+
+    def add(vals, closed, mult):
+        key = tuple(sorted(v for v in vals if v))
+        for faces, count in _face_histogram(key).items():
+            out[faces + closed] = out.get(faces + closed, 0) + mult * count
+
+    for p in range(L - 1):
+        q = L - 2 - p
+        add(rest + (p, q), (p == 0) + (q == 0), 1)
+    for i, other in enumerate(rest):
+        if i and other == rest[i - 1]:
             continue
-        count += 1
-        d = start
-        while not seen[d]:
-            seen[d] = True
-            d = sigma[alpha[d]]
-    return count
+        merged = L + other - 2
+        add(rest[:i] + rest[i + 1:] + (merged,), merged == 0,
+            other * rest.count(other))
+    return out
 
 
 def gaussian_trace_average(profile, cap=DEFAULT_CAP, symbols=("N",), laurent=("N",)):
@@ -196,16 +225,13 @@ def gaussian_trace_average(profile, cap=DEFAULT_CAP, symbols=("N",), laurent=("N
         return zero
     if n == 0:
         return SymbolPoly.const(symbols, 1, laurent)
-    sigma = star_sigma(profile)
     E = n // 2
     N = SymbolPoly.sym(symbols, "N", laurent)
-    powers = {}
-    for alpha in _pairings(n):
-        k = _face_count(sigma, alpha) - E
-        powers[k] = powers.get(k, 0) + 1
+    valences = tuple(sorted(v for v, m in profile.items() if v
+                            for _ in range(m)))
     total = zero
-    for k, mult in powers.items():
-        total = total + mult * N ** k
+    for faces, mult in sorted(_face_histogram(valences).items()):
+        total = total + mult * N ** (faces - E)
     return total
 
 

@@ -202,6 +202,13 @@ def test_geodesic_continuum_honours_format(capsys):
         [p["r"], p["F"], p["G"], p["deviation"]] for p in grid]
 
 
+def test_oracle_past_the_cap_exits_2(capsys):
+    code = main(["oracle", "--weights", "g4=1", "--order", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "TooLarge: order 5 needs up to 20 half-edges, cap is 16\n"
+
+
 @pytest.mark.parametrize("g4", ["1/2", "-3", "0"])
 def test_geodesic_g4_matches_window_solver(capsys, g4):
     argv = ["geodesic", "--g4", g4, "--n", "3", "--order", "8",

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import sqrt
 
@@ -11,7 +12,7 @@ from mapforge.bijections import (
     sample_quadrangulation, sample_quadrangulation_uniform,
 )
 from mapforge.observables import (
-    BranchError, IntegrationObstruction, _real_cubic_roots, edges_at_distance,
+    BranchError, _exact_quotient, IntegrationObstruction, _real_cubic_roots, edges_at_distance,
     edges_at_distance_asymptotic, gamma_infinite, gamma_rho_closed_form,
     gamma_rho_series, gamma_sigma_closed_form, gamma_sigma_series,
     integrate_sigma_log, local_weight_average, mc_profile, neighbor_pgf,
@@ -163,6 +164,29 @@ def test_weighted_Zn_terms_are_ints():
              for c in coeff.terms.values()]
     assert len(types) == 1230
     assert set(types) == {int}
+
+
+def test_exact_quotient_inverts_the_product():
+    syms = ("rho", "sigma", "x")
+    quotient = _exact_quotient(syms, "rho", "sigma")
+    rho_sigma_1 = SymbolPoly.sym(syms, "rho") * SymbolPoly.sym(syms, "sigma") - 1
+    rng = random.Random(24)
+    for _ in range(200):
+        q = SymbolPoly(syms, {
+            tuple(rng.randrange(5) for _ in syms):
+                F(rng.randint(-9, 9), rng.randint(1, 4))
+            for _ in range(rng.randrange(12))})
+        assert quotient(q * rho_sigma_1) == q
+        # a product with rho*sigma - 1 vanishes at rho = sigma = 1, so one
+        # more monomial makes it not divisible
+        extra = SymbolPoly(syms, {
+            tuple(rng.randrange(5) for _ in syms): rng.randint(1, 9)})
+        with pytest.raises(ArithmeticError) as err:
+            quotient(q * rho_sigma_1 + extra)
+        assert str(err.value) == "polynomial not divisible by rho*sigma-1"
+    assert quotient(F(0)) == 0
+    with pytest.raises(ArithmeticError):
+        quotient(F(3))
 
 
 def test_gamma0_rooting_relation():

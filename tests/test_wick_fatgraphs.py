@@ -92,6 +92,50 @@ def test_gaussian_averages():
     assert gaussian_trace_average({3: 1}) == 0
 
 
+def _valence_profiles(n_max):
+    """Every multiset of positive valences with at most n_max half-edges,
+    as a profile dict."""
+    def rec(left, top):
+        yield {}
+        for v in range(min(left, top), 0, -1):
+            for rest in rec(left - v, v):
+                out = dict(rest)
+                out[v] = out.get(v, 0) + 1
+                yield out
+    yield from rec(n_max, n_max)
+
+
+def _pairing_histogram(profile):
+    """sum of N^(F-E) over the enumerated pairings, faces counted by
+    faces_and_genus"""
+    N = SymbolPoly.sym(("N",), "N", ("N",))
+    total = SymbolPoly.const(("N",), 0, ("N",))
+    for m in enumerate_pairings(profile):
+        _, E, Fc, _ = faces_and_genus(m)
+        total = total + N ** (Fc - E)
+    return total
+
+
+PROFILES = list(_valence_profiles(10)) + [
+    {4: 3}, {3: 4}, {6: 2}, {1: 2, 4: 1, 6: 1}]
+
+
+@pytest.mark.parametrize("profile", PROFILES, ids=str)
+def test_gaussian_average_matches_enumerated_pairings(profile):
+    avg = gaussian_trace_average(profile)
+    assert avg == _pairing_histogram(profile)
+    n = sum(v * m for v, m in profile.items())
+    assert avg.subs(N=1) == (double_factorial(n - 1) if n % 2 == 0 else 0)
+
+
+def test_gaussian_average_cap_does_not_move():
+    for profile in ({18: 1}, {4: 5}):
+        with pytest.raises(TooLarge) as err:
+            gaussian_trace_average(profile)
+        assert str(err.value) == "profile has %d half-edges, cap is 16" % (
+            sum(v * m for v, m in profile.items()))
+
+
 def test_catalan_leading_coefficient():
     # leading N coefficient of <Tr M^{2p}> is the Catalan number
     for p in range(1, 7):
