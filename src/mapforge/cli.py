@@ -4,7 +4,8 @@ Every subcommand prints a single report to stdout (or --output): JSON with
 sorted keys or plot-ready CSV, always prefixed by the fully resolved
 parameter set so runs are diffable and reproducible byte for byte.
 Rationals are rendered as exact "p/q" strings.  Exit codes: 0 success,
-2 invalid parameters, 3 numeric or branch failure inside a solver.
+2 invalid parameters or an unwritable output path, 3 numeric or branch
+failure inside a solver.
 """
 
 import argparse
@@ -20,9 +21,9 @@ from . import __version__ as VERSION
 from .series_core import TruncSeries, rat_str, rat_parse
 from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, quartic_solution,
                             planar_free_energy, gamma_two_sameface)
-from .wick_fatgraphs import TooLarge, connected_free_energy_F, genus_split
-from .ortho_genus import (NoPhysicalRoot, StructureViolation,
-                          exact_free_energy_FN, genus_extract)
+from .wick_fatgraphs import (StructureViolation, TooLarge,
+                             connected_free_energy_F, genus_split)
+from .ortho_genus import NoPhysicalRoot, exact_free_energy_FN, genus_extract
 from .string_eq import DeepenCutoff, AlgebraBug, kdv_residues, commutator_check
 from .geodesic import (DomainError, exact_Rn_quartic, integral_of_motion,
                        scaling_F, scaling_G, discrete_to_continuum_check)
@@ -449,13 +450,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         results, header, rows = args.func(args)
+        _write_report(args, results, header, rows)
     except NUMERIC_ERRORS as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 3
-    except (BadParameter, TooLarge, ValueError) as e:
+    except (BadParameter, TooLarge, ValueError, OSError) as e:
+        # OSError: --output or --dump-maps names a path that cannot be
+        # written
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
-    _write_report(args, results, header, rows)
     return 0
 
 

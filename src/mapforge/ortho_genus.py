@@ -34,7 +34,7 @@ from math import comb, factorial
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import (EvenOnly, Potential, path_sum, solve_one_cut,
                             string_equations)
-from .wick_fatgraphs import vertex_profiles
+from .wick_fatgraphs import StructureViolation, genus_split, vertex_profiles
 
 NSYM = ("N",)
 NLAU = ("N",)
@@ -43,10 +43,6 @@ MN = ("m", "N")
 
 
 class IncreaseM(RuntimeError):
-    pass
-
-
-class StructureViolation(ValueError):
     pass
 
 
@@ -316,20 +312,11 @@ def string_recursion_residual(couplings, r_window, m):
 
 
 def genus_extract(F):
-    """{(g-order, genus): coefficient}; only N-exponents 2,0,-2,... allowed."""
-    out = {}
-    for k in range(1, F.order + 1):
-        c = F.coeffs[k]
-        if not isinstance(c, SymbolPoly) or not c:
-            continue
-        exps = c.exponents_of("N")
-        if max(exps) > 2:
-            raise StructureViolation("N-exponent above 2 at order %d" % k)
-        for e in exps:
-            if (2 - e) % 2:
-                raise StructureViolation("odd N-exponent %d at order %d" % (e, k))
-            out[(k, (2 - e) // 2)] = c.coeff(N=e)
-    return out
+    """{(g-order, genus): coefficient} over the SymbolPoly coefficients of
+    orders 1..F.order, each split by genus_split."""
+    return {(k, h): q for k in range(1, F.order + 1)
+            if isinstance(F.coeffs[k], SymbolPoly)
+            for h, q in genus_split(F.coeffs[k]).items()}
 
 
 def genus_one_closed_form(order):

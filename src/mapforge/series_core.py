@@ -119,7 +119,10 @@ class SymbolPoly:
         return SymbolPoly._raw(self.symbols, terms, self.laurent)
 
     def _scale(self, value):
-        """self * value for a scalar: every term is scaled."""
+        """self * value for a scalar: every term is scaled, by an int when
+        the scalar is integral."""
+        if type(value) is Fraction and value.denominator == 1:
+            value = value.numerator
         return SymbolPoly._raw(self.symbols,
                                {e: c * value for e, c in self.terms.items()},
                                self.laurent)
@@ -232,33 +235,21 @@ class SymbolPoly:
 
     def subs(self, **values):
         """Substitute numbers for some symbols; returns SymbolPoly or Fraction."""
-        vals = {}
-        keep = []
-        for s in self.symbols:
-            if s in values:
-                vals[s] = values[s]
-            else:
-                keep.append(s)
-        if keep:
-            out = {}
-            for e, c in self.terms.items():
-                factor = c
-                ke = []
-                for s, ei in zip(self.symbols, e):
-                    if s in vals:
-                        factor = factor * (Fraction(vals[s]) ** ei)
-                    else:
-                        ke.append(ei)
-                ke = tuple(ke)
-                out[ke] = out.get(ke, Fraction(0)) + factor
-            return SymbolPoly(keep, out, self.laurent & set(keep))
-        total = Fraction(0)
+        keep = [s for s in self.symbols if s not in values]
+        out = {}
         for e, c in self.terms.items():
             factor = c
+            ke = []
             for s, ei in zip(self.symbols, e):
-                factor = factor * (Fraction(vals[s]) ** ei)
-            total += factor
-        return total
+                if s in values:
+                    factor = factor * (Fraction(values[s]) ** ei)
+                else:
+                    ke.append(ei)
+            ke = tuple(ke)
+            out[ke] = out.get(ke, Fraction(0)) + factor
+        if keep:
+            return SymbolPoly(keep, out, self.laurent & set(keep))
+        return out.get((), Fraction(0))
 
     def __repr__(self):
         if not self.terms:

@@ -203,10 +203,24 @@ def test_geodesic_continuum_honours_format(capsys):
 
 
 def test_oracle_past_the_cap_exits_2(capsys):
-    code = main(["oracle", "--weights", "g4=1", "--order", "5"])
+    code = main(["oracle", "--weights", "g4=1", "--order", "13"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "TooLarge: order 5 needs up to 20 half-edges, cap is 16\n"
+    assert captured.err == "TooLarge: order 13 needs up to 52 half-edges, cap is 48\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["planar", "--order", "3"], "--output"),
+    (["sample", "--faces", "4", "--samples", "1", "--seed", "1"],
+     "--dump-maps"),
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, flag):
+    path = str(tmp_path / "missing" / "x.json")
+    code = main(argv + [flag, path])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "FileNotFoundError: [Errno 2] No such file or directory: %r\n" % path)
 
 
 @pytest.mark.parametrize("g4", ["1/2", "-3", "0"])

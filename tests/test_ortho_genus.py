@@ -221,6 +221,15 @@ def test_free_energy_matches_pairing_oracle_sextic():
         assert FN.coeffs[k] == wick.coeffs[k]
 
 
+@pytest.mark.parametrize("couplings, order", [
+    ({4: F(1)}, 12), ({3: F(1)}, 16), ({4: F(1), 6: F(1)}, 8),
+    ({3: F(1), 4: F(1)}, 12), ({1: F(1), 3: F(1)}, 16)], ids=str)
+def test_free_energy_matches_pairing_oracle_all_genus(couplings, order):
+    # every genus at once, up to the 48 half-edges of the counting cap
+    assert (exact_free_energy_FN(couplings, order)
+            == connected_free_energy_F(couplings, order))
+
+
 def test_genus_extraction():
     FN = exact_free_energy_FN({4: F(1)}, 3)
     table = genus_extract(FN)

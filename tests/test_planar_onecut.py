@@ -103,9 +103,9 @@ def test_gamma_two_quartic():
 def test_gamma_one_one_oracle():
     V = Potential({3: 1})
     sol = solve_one_cut(V, 2)
-    syms, lau = ("N", "a"), ("N",)
-    a = SymbolPoly.sym(syms, "a", lau)
-    f = connected_free_energy_F({3: F(1), 1: a}, 4, symbols=syms, laurent=lau)
+    # the weight a sets the ring (N, a) of every coefficient
+    a = SymbolPoly.sym(("N", "a"), "a", ("N",))
+    f = connected_free_energy_F({3: F(1), 1: a}, 4)
     oracle = [2 * sympoly_coeff(f.coeffs[k + 2], N=2, a=2) for k in range(3)]
     assert gamma_one_one(V, sol).coeffs == oracle
 

@@ -4,9 +4,9 @@ import pytest
 
 from mapforge.series_core import SymbolPoly
 from mapforge.wick_fatgraphs import (
-    CombinatorialMap, MalformedMap, TooLarge, catalan, connected_free_energy_F,
-    enumerate_pairings, faces_and_genus, gaussian_trace_average, genus_split,
-    partition_series_Z, star_sigma,
+    CombinatorialMap, MalformedMap, StructureViolation, TooLarge, catalan,
+    connected_free_energy_F, enumerate_pairings, faces_and_genus,
+    gaussian_trace_average, genus_split, partition_series_Z, star_sigma,
 )
 
 
@@ -129,11 +129,39 @@ def test_gaussian_average_matches_enumerated_pairings(profile):
 
 
 def test_gaussian_average_cap_does_not_move():
-    for profile in ({18: 1}, {4: 5}):
+    for profile in ({50: 1}, {4: 13}):
         with pytest.raises(TooLarge) as err:
             gaussian_trace_average(profile)
-        assert str(err.value) == "profile has %d half-edges, cap is 16" % (
+        assert str(err.value) == "profile has %d half-edges, cap is 48" % (
             sum(v * m for v, m in profile.items()))
+
+
+def _harer_zagier(n_max):
+    """eps[n][g]: one-vertex maps of genus g from one 2n-star, by the
+    Harer-Zagier recursion (n+1) e_g(n) = 2(2n-1) e_g(n-1)
+    + (n-1)(2n-1)(2n-3) e_{g-1}(n-2), e_0(0) = 1."""
+    eps = [{0: 1}]
+    for n in range(1, n_max + 1):
+        row = {}
+        for g in range(n // 2 + 1):
+            total = 2 * (2 * n - 1) * eps[n - 1].get(g, 0)
+            if n >= 2 and g >= 1:
+                total += ((n - 1) * (2 * n - 1) * (2 * n - 3)
+                          * eps[n - 2].get(g - 1, 0))
+            assert total % (n + 1) == 0
+            row[g] = total // (n + 1)
+        eps.append(row)
+    return eps
+
+
+def test_gaussian_average_matches_harer_zagier():
+    # <Tr M^{2n}> = sum_g e_g(n) N^{1-2g}, up to the 48 half-edges of
+    # the counting cap
+    N = SymbolPoly.sym(("N",), "N", ("N",))
+    for n, row in enumerate(_harer_zagier(24)[1:], 1):
+        want = sum((c * N ** (1 - 2 * g) for g, c in row.items()),
+                   SymbolPoly.const(("N",), 0, ("N",)))
+        assert gaussian_trace_average({2 * n: 1}) == want
 
 
 def test_catalan_leading_coefficient():
@@ -174,11 +202,16 @@ def test_connected_free_energy_quartic():
 def test_genus_split():
     f = connected_free_energy_F({4: F(1)}, 2)
     assert genus_split(f.coeffs[2]) == {0: F(9, 8), 1: F(15, 8)}
+    # only N^(2-2h), h >= 0, reads as a genus
+    N = SymbolPoly.sym(("N",), "N", ("N",))
+    for bad in (N, N ** 4, N ** 2 + N ** -1):
+        with pytest.raises(StructureViolation):
+            genus_split(bad)
 
 
 def test_cap_honest_failure():
+    # order 13 of a quartic needs 52 half-edges, past the counting cap
     with pytest.raises(TooLarge):
-        partition_series_Z({4: F(1)}, 5)
-    # raising the cap is the documented escape hatch
-    z = partition_series_Z({2: F(1)}, 5, cap=16)
+        partition_series_Z({4: F(1)}, 13)
+    z = partition_series_Z({2: F(1)}, 5)
     assert z.coeffs[0] == 1
