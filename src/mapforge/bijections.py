@@ -316,9 +316,9 @@ def _preorder(t):
         stack.extend((node, c) for c in reversed(node[1]))
 
 
-def check_well_labeled(t, root_label=0):
-    if t[0] != root_label:
-        raise NotWellLabeled("root label must be %d" % root_label)
+def check_well_labeled(t):
+    if t[0] != 0:
+        raise NotWellLabeled("root label must be 0")
     for parent, (lab, _) in _preorder(t):
         if parent is not None and abs(lab - parent[0]) > 1:
             raise NotWellLabeled("adjacent labels must differ by <= 1")

@@ -143,17 +143,17 @@ def extinction_exact(n, p):
     return (1 - float(p)) * exact_Rn_quartic(n, g=float(branching_g(float(p))))
 
 
-def newton_bounded_Rn(L, g, tol=1e-13):
+def newton_bounded_Rn(L, g):
     """R_0..R_L solving R_n = 1 + g R_n (R_{n+1} + R_n + R_{n-1}) with
     R_{-1} = R_{L+1} = 0, by Newton iteration.  The Jacobian is
     tridiagonal, with -g R_n beside the diagonal of row n, so each step is
-    one Thomas sweep."""
+    one Thomas sweep, until every residual is below 1e-13."""
     x = [1.0] * (L + 1)
     for _ in range(100):
         lo = [0.0] + x[:-1]
         hi = x[1:] + [0.0]
         F = [r - 1 - g * r * (h + r + d) for r, h, d in zip(x, hi, lo)]
-        if max(map(abs, F)) < tol:
+        if max(map(abs, F)) < 1e-13:
             return x
         # elimination leaves row n as step_n + up[n+1] step_{n+1} = rhs[n+1]
         up, rhs = [0.0], [0.0]
@@ -310,16 +310,17 @@ class WeierstrassProfile:
         return 2.0 * self.wp(r)
 
 
-def weierstrass_scaling_check(lam, r_grid=None, h=1e-2):
-    """Max over the grid of |U'' - (3U^2 - 3)| for the profile at lam.
+def weierstrass_scaling_check(lam):
+    """Max of |U'' - (3U^2 - 3)| for the profile at lam over the grid
+    r = 0.2, 0.25, ..., 0.8 lam, which lies inside (0, lam).
 
     The double poles at the nearby real lattice points 0, lam and -lam
     are removed before the seven-point second difference and their exact
     second derivatives added back; differencing the full U near a pole
     would drown the identity in float cancellation."""
     prof = WeierstrassProfile(lam)
-    if r_grid is None:
-        r_grid = [0.2 + 0.05 * k for k in range(int((0.8 * lam - 0.2) / 0.05) + 1)]
+    r_grid = [0.2 + 0.05 * k for k in range(int((0.8 * lam - 0.2) / 0.05) + 1)]
+    h = 1e-2
     poles = (-lam, 0.0, lam)
 
     def smooth(r):
@@ -327,8 +328,6 @@ def weierstrass_scaling_check(lam, r_grid=None, h=1e-2):
 
     worst = 0.0
     for r in r_grid:
-        if not 0 < r < lam:
-            raise DomainError("grid point outside (0, lam)")
         d2 = (2 * smooth(r - 3 * h) - 27 * smooth(r - 2 * h)
               + 270 * smooth(r - h) - 490 * smooth(r)
               + 270 * smooth(r + h) - 27 * smooth(r + 2 * h)

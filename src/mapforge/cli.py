@@ -10,6 +10,7 @@ failure inside a solver.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -53,10 +54,6 @@ def _fmt(v):
     if isinstance(v, (int, Fraction)):
         return rat_str(v)
     return str(v)
-
-
-def _series_strs(ts):
-    return [_fmt(c) for c in ts.coeffs]
 
 
 def _parse_weights(tokens):
@@ -114,7 +111,7 @@ def diffpoly_text(dp):
 
 
 def _metadata(args):
-    skip = {"func", "output", "command"}
+    skip = {"output", "command"}
     params = {}
     for k, v in vars(args).items():
         if k in skip:
@@ -193,7 +190,7 @@ def _cmd_planar(args):
             series[name] = sol.S
         else:
             series[name] = gamma_two_sameface(V, sol)
-    results = {name: _series_strs(ts) for name, ts in series.items()}
+    results = {name: ts.to_strings() for name, ts in series.items()}
     rows = [[k] + [series[name].coeffs[k] for name in emits]
             for k in range(args.order + 1)]
     return results, ["order"] + emits, rows
@@ -266,7 +263,7 @@ def _cmd_geodesic(args):
     if "motion" in emits:
         g = TruncSeries.gen("g", args.order)
         series["motion"] = integral_of_motion((R[args.n], R[args.n + 1]), g)
-    results = {name: _series_strs(series[name]) for name in emits}
+    results = {name: series[name].to_strings() for name in emits}
     rows = [[k] + [series[name].coeffs[k] for name in emits]
             for k in range(args.order + 1)]
     return results, ["order"] + emits, rows
@@ -364,6 +361,18 @@ def _cmd_branching(args):
 
 
 def build_parser():
+    """The argument tree, --threads defaulting to $MAPFORGE_THREADS, else
+    1; one tree is built per value of the variable and then reused."""
+    return _parser(os.environ.get("MAPFORGE_THREADS", "1"))
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(threads_env):
+    try:
+        threads = int(threads_env)
+    except ValueError:
+        raise BadParameter("MAPFORGE_THREADS=%r is not an integer"
+                           % threads_env) from None
     top = argparse.ArgumentParser(prog="mapforge")
     top.add_argument("--version", action="version", version=VERSION)
     sub = top.add_subparsers(dest="command", required=True)
@@ -372,8 +381,7 @@ def build_parser():
         p.add_argument("--format", choices=("json", "csv"),
                        default=default_format)
         p.add_argument("--output", default=None)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("MAPFORGE_THREADS", "1")),
+        p.add_argument("--threads", type=int, default=threads,
                        help="worker count (default: $MAPFORGE_THREADS, else "
                             "1); accepted and echoed in the report, but "
                             "without effect: every command runs in one "
@@ -386,27 +394,23 @@ def build_parser():
     p.add_argument("--order", type=int, default=3)
     p.add_argument("--genus-split", action="store_true")
     common(p, "json")
-    p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("planar")
     p.add_argument("--g4", type=rat_parse, default=Fraction(1))
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--emit", default="f,R,Gamma2")
     common(p, "json")
-    p.set_defaults(func=_cmd_planar)
 
     p = sub.add_parser("genus")
     p.add_argument("--g4", type=rat_parse, default=Fraction(1))
     p.add_argument("--order", type=int, default=4)
     p.add_argument("--max-genus", type=int, default=2)
     common(p, "csv")
-    p.set_defaults(func=_cmd_genus)
 
     p = sub.add_parser("stringeq")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--emit", default="residues,commutator")
     common(p, "json")
-    p.set_defaults(func=_cmd_stringeq)
 
     p = sub.add_parser("geodesic")
     p.add_argument("--g4", type=rat_parse, default=Fraction(1))
@@ -416,21 +420,18 @@ def build_parser():
     p.add_argument("--continuum", action="store_true")
     p.add_argument("--eps", type=float, default=0.05)
     common(p, "json")
-    p.set_defaults(func=_cmd_geodesic)
 
     p = sub.add_parser("sample")
     p.add_argument("--faces", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--dump-maps", default=None, metavar="PATH")
     common(p, "csv", seeded=True)
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("local")
     p.add_argument("--emit", default="P,Pi,profile")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--finite-area", type=int, default=None)
     common(p, "csv")
-    p.set_defaults(func=_cmd_local)
 
     p = sub.add_parser("branching")
     p.add_argument("--p", type=rat_parse, required=True)
@@ -441,22 +442,22 @@ def build_parser():
     p.add_argument("--L", type=int, default=None)
     p.add_argument("--t-max", type=int, default=100000)
     common(p, "json")
-    p.set_defaults(func=_cmd_branching)
 
     return top
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        results, header, rows = args.func(args)
+        args = build_parser().parse_args(argv)
+        # the handler is looked up per call, not stored in the cached tree
+        results, header, rows = globals()["_cmd_" + args.command](args)
         _write_report(args, results, header, rows)
     except NUMERIC_ERRORS as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 3
     except (BadParameter, TooLarge, ValueError, OSError) as e:
         # OSError: --output or --dump-maps names a path that cannot be
-        # written
+        # written; BadParameter also covers a non-integer $MAPFORGE_THREADS
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 2
     return 0

@@ -92,8 +92,10 @@ def exact_Rn_quartic(n, g=None, order=None):
     """R_n = R (1-x^{n+1})(1-x^{n+4}) / ((1-x^{n+2})(1-x^{n+3})).
 
     Series mode when order is given (coefficients by Lagrange inversion),
-    numeric mode when g is a float.
+    numeric mode when g is a float; exactly one of the two is given.
     """
+    if (g is None) == (order is None):
+        raise TypeError("exact_Rn_quartic takes exactly one of g and order")
     if order is not None:
         return TruncSeries("g", _quartic_row(n, order))
     R = quartic_R_numeric(g)

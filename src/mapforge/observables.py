@@ -220,17 +220,13 @@ def unrooted_Gamma0(order):
     return integrate_sigma_log(quartic_R0_rho_sigma(order))
 
 
-def local_weight_average(A, order=None):
+def local_weight_average(A):
     """The polynomial <rho^N1 sigma^N01>_A = Gamma_{0,A}(rho,sigma) /
     Gamma_{0,A}(1,1); N1 counts neighbors of the origin, N01 edges at the
     origin."""
-    if order is None:
-        order = A
     if A < 1:
         raise ValueError("area A must be >= 1")
-    if order < A:
-        raise ValueError("order must be >= A")
-    G = unrooted_Gamma0(order).coeffs[A]
+    G = unrooted_Gamma0(A).coeffs[A]
     norm = G.subs(rho=1, sigma=1)
     return G / norm
 

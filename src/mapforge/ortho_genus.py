@@ -37,7 +37,6 @@ from .planar_onecut import (EvenOnly, Potential, path_sum, solve_one_cut,
 from .wick_fatgraphs import StructureViolation, genus_split, vertex_profiles
 
 NSYM = ("N",)
-NLAU = ("N",)
 # coefficients of the string-equation unknowns: polynomial in m, Laurent in N
 MN = ("m", "N")
 
@@ -55,11 +54,11 @@ class NoPhysicalRoot(ValueError):
 
 
 def _npoly(value=0):
-    return SymbolPoly.const(NSYM, value, NLAU)
+    return SymbolPoly.const(NSYM, value)
 
 
 def _N(power=1):
-    return SymbolPoly(NSYM, {(power,): Fraction(1)}, NLAU)
+    return SymbolPoly(NSYM, {(power,): Fraction(1)})
 
 
 def _double_factorial(n):
@@ -105,7 +104,7 @@ def _shift_m(c, h):
         for j in range(e + 1):
             key = (j, n)
             terms[key] = terms.get(key, 0) + comb(e, j) * h ** (e - j) * q
-    return SymbolPoly(MN, terms, NLAU)
+    return SymbolPoly(MN, terms)
 
 
 def _times_N_over_m(c):
@@ -117,7 +116,7 @@ def _times_N_over_m(c):
     for (e, n), q in c.terms.items():
         assert e > 0, "negative m exponent in N r/m"
         terms[(e - 1, n + 1)] = q
-    return SymbolPoly(MN, terms, NLAU)
+    return SymbolPoly(MN, terms)
 
 
 def string_equation_ratios(couplings, order):
@@ -131,7 +130,7 @@ def string_equation_ratios(couplings, order):
     """
     V = Potential(couplings)
     even = V.is_even()
-    m_over_N = SymbolPoly(MN, {(1, -1): 1}, NLAU)
+    m_over_N = SymbolPoly(MN, {(1, -1): 1})
 
     def equation(X):
         def shifted(series):
@@ -165,7 +164,7 @@ def exact_free_energy_FN(couplings, order):
     for k in range(1, order + 1):
         c = lam.coeffs[k]
         if not isinstance(c, SymbolPoly):
-            c = SymbolPoly.const(MN, c, NLAU)
+            c = SymbolPoly.const(MN, c)
         top = max(c.exponents_of("m"), default=0)
         row = [c.subs(m=m) for m in range(1, top + 2)]
         coeffs.append(_sum_to_N(gamma0.coeffs[k], _forward_differences(row)))

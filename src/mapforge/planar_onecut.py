@@ -175,10 +175,10 @@ def gamma_one_one(V, sol):
 
 def r_of_z(V, order):
     """The root r(z) of z = r - sum_k g_{2k} C(2k-1,k) r^k, as a series in g
-    with coefficients polynomial in z (z carried as a Laurent symbol)."""
+    with coefficients polynomial in z."""
     if not V.is_even():
         raise EvenOnly("r(z) is defined for even potentials")
-    z = SymbolPoly.sym(("z",), "z", ("z",))
+    z = SymbolPoly.sym(("z",), "z")
     g = TruncSeries.gen("g", order)
 
     def equation(r):
@@ -209,7 +209,7 @@ def planar_free_energy(V, order):
 
 def _free_energy_integral(V, order):
     r = r_of_z(V, order)
-    z = SymbolPoly.sym(("z",), "z", ("z",))
+    z = SymbolPoly.sym(("z",), "z")
     ratio = r * z.inverse()
     lg = ratio.log()
     coeffs = []

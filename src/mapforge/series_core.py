@@ -1,8 +1,8 @@
 """Exact coefficient rings and truncated formal power series.
 
 Coefficients are fractions.Fraction values, or SymbolPoly values when the
-series carries auxiliary symbols (N as a Laurent symbol, rho/sigma/t as
-ordinary ones).  Every operation is exact; floats never enter the algebra.
+series carries auxiliary symbols (N, rho, sigma, t).  Every operation is
+exact; floats never enter the algebra.
 A series keeps coefficients for degrees 0..order, and binary operations
 truncate to the minimum order of the operands.
 """
@@ -48,21 +48,20 @@ def rat_parse(s):
 
 
 class SymbolPoly:
-    """Polynomial (Laurent in flagged symbols) with rational coefficients.
+    """Laurent polynomial in its symbols with rational coefficients.
 
-    terms maps exponent tuples to nonzero coefficients, each an int when it
-    is integral and a Fraction otherwise, so the mostly integral counting
-    polynomials multiply at int speed; coeff() still returns a Fraction.
-    A float coefficient is refused.  The symbol list and the set of
-    Laurent-allowed symbols are fixed per instance and must agree between
+    terms maps integer exponent tuples (negative ones allowed in every
+    symbol) to nonzero coefficients, each an int when it is integral and a
+    Fraction otherwise, so the mostly integral counting polynomials multiply
+    at int speed; coeff() still returns a Fraction.  A float coefficient is
+    refused.  The symbol list is fixed per instance and must agree between
     operands.
     """
 
-    __slots__ = ("symbols", "laurent", "terms")
+    __slots__ = ("symbols", "terms")
 
-    def __init__(self, symbols, terms, laurent=()):
+    def __init__(self, symbols, terms):
         self.symbols = tuple(symbols)
-        self.laurent = frozenset(laurent)
         clean = {}
         for expo, c in terms.items():
             if type(c) is not int:
@@ -71,34 +70,29 @@ class SymbolPoly:
                     c = c.numerator
             if c == 0:
                 continue
-            expo = tuple(expo)
-            for name, e in zip(self.symbols, expo):
-                if e < 0 and name not in self.laurent:
-                    raise ValueError("negative exponent for non-Laurent symbol %s" % name)
-            clean[expo] = c
+            clean[tuple(expo)] = c
         self.terms = clean
 
     @classmethod
-    def const(cls, symbols, value, laurent=()):
+    def const(cls, symbols, value):
         z = (0,) * len(tuple(symbols))
-        return cls(symbols, {z: value}, laurent)
+        return cls(symbols, {z: value})
 
     @classmethod
-    def sym(cls, symbols, name, laurent=()):
+    def sym(cls, symbols, name):
         symbols = tuple(symbols)
         expo = tuple(1 if s == name else 0 for s in symbols)
         if name not in symbols:
             raise KeyError(name)
-        return cls(symbols, {expo: 1}, laurent)
+        return cls(symbols, {expo: 1})
 
     @classmethod
-    def _raw(cls, symbols, terms, laurent):
-        """Wrap terms that arithmetic already made valid (exponent tuples
-        allowed by laurent, int or Fraction values); zeros are dropped and
-        integral Fractions become ints."""
+    def _raw(cls, symbols, terms):
+        """Wrap terms that arithmetic already made valid (exponent tuples,
+        int or Fraction values); zeros are dropped and integral Fractions
+        become ints."""
         out = cls.__new__(cls)
         out.symbols = symbols
-        out.laurent = laurent
         out.terms = {e: c.numerator if type(c) is Fraction
                      and c.denominator == 1 else c
                      for e, c in terms.items() if c}
@@ -116,7 +110,7 @@ class SymbolPoly:
         z = (0,) * len(self.symbols)
         terms = dict(self.terms)
         terms[z] = terms.get(z, 0) + value
-        return SymbolPoly._raw(self.symbols, terms, self.laurent)
+        return SymbolPoly._raw(self.symbols, terms)
 
     def _scale(self, value):
         """self * value for a scalar: every term is scaled, by an int when
@@ -124,8 +118,7 @@ class SymbolPoly:
         if type(value) is Fraction and value.denominator == 1:
             value = value.numerator
         return SymbolPoly._raw(self.symbols,
-                               {e: c * value for e, c in self.terms.items()},
-                               self.laurent)
+                               {e: c * value for e, c in self.terms.items()})
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -136,8 +129,7 @@ class SymbolPoly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return SymbolPoly._raw(self.symbols, terms,
-                               self.laurent | other.laurent)
+        return SymbolPoly._raw(self.symbols, terms)
 
     __radd__ = __add__
 
@@ -166,8 +158,7 @@ class SymbolPoly:
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return SymbolPoly._raw(self.symbols, terms,
-                               self.laurent | other.laurent)
+        return SymbolPoly._raw(self.symbols, terms)
 
     __rmul__ = __mul__
 
@@ -185,7 +176,7 @@ class SymbolPoly:
             if isinstance(k, int) and k < 0:
                 return self.inverse() ** (-k)
             raise TypeError("integer power expected")
-        out = SymbolPoly.const(self.symbols, 1, self.laurent)
+        out = SymbolPoly.const(self.symbols, 1)
         base = self
         while k:
             if k & 1:
@@ -199,12 +190,8 @@ class SymbolPoly:
         if len(self.terms) != 1:
             raise NonUnitDivisor("only monomials are invertible")
         (expo, c), = self.terms.items()
-        inv_expo = tuple(-e for e in expo)
-        for name, e in zip(self.symbols, inv_expo):
-            if e < 0 and name not in self.laurent:
-                raise NonUnitDivisor("inverse needs Laurent symbol %s" % name)
-        return SymbolPoly(self.symbols, {inv_expo: Fraction(1) / c},
-                          self.laurent)
+        return SymbolPoly(self.symbols,
+                          {tuple(-e for e in expo): Fraction(1) / c})
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -218,6 +205,10 @@ class SymbolPoly:
         return self.symbols == other.symbols and self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as its value
+        z = (0,) * len(self.symbols)
+        if not self.terms.keys() - {z}:
+            return hash(self.terms.get(z, 0))
         return hash((self.symbols, frozenset(self.terms.items())))
 
     def __bool__(self):
@@ -248,7 +239,7 @@ class SymbolPoly:
             ke = tuple(ke)
             out[ke] = out.get(ke, Fraction(0)) + factor
         if keep:
-            return SymbolPoly(keep, out, self.laurent & set(keep))
+            return SymbolPoly(keep, out)
         return out.get((), Fraction(0))
 
     def __repr__(self):

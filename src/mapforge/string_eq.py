@@ -58,9 +58,14 @@ class DiffPoly:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = DiffPoly.const(other)
+        elif not isinstance(other, DiffPoly):
+            return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
+        # a constant equals its value, so it hashes as its value
+        if not self.terms.keys() - {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):

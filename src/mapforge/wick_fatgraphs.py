@@ -152,15 +152,16 @@ def _pairings(n):
     yield from rec(list(range(n)))
 
 
-def enumerate_pairings(profile, cap=LIST_CAP):
+def enumerate_pairings(profile):
     """Stream of CombinatorialMap over all Wick pairings of the profile.
 
     Lists all (2E-1)!! pairings; the independent test oracle for
     gaussian_trace_average, which counts them without listing them.
     """
     n = sum(v * m for v, m in profile.items())
-    if n > cap:
-        raise TooLarge("profile has %d half-edges, cap is %d" % (n, cap))
+    if n > LIST_CAP:
+        raise TooLarge("profile has %d half-edges, cap is %d"
+                       % (n, LIST_CAP))
     if n % 2:
         return
     sigma = star_sigma(profile)
@@ -225,20 +226,20 @@ def _face_histogram(valences):
     return out
 
 
-def gaussian_trace_average(profile, symbols=("N",), laurent=("N",)):
+def gaussian_trace_average(profile, symbols=("N",)):
     """<prod_i (Tr M^i)^{n_i}> under the Gaussian measure, exact in N, as
     a SymbolPoly over symbols (which must hold N)."""
     n = sum(v * m for v, m in profile.items())
     if n > COUNT_CAP:
         raise TooLarge("profile has %d half-edges, cap is %d"
                        % (n, COUNT_CAP))
-    zero = SymbolPoly.const(symbols, 0, laurent)
+    zero = SymbolPoly.const(symbols, 0)
     if n % 2:
         return zero
     if n == 0:
-        return SymbolPoly.const(symbols, 1, laurent)
+        return SymbolPoly.const(symbols, 1)
     E = n // 2
-    N = SymbolPoly.sym(symbols, "N", laurent)
+    N = SymbolPoly.sym(symbols, "N")
     valences = tuple(sorted(v for v, m in profile.items() if v
                             for _ in range(m)))
     total = zero
@@ -278,7 +279,7 @@ def partition_series_Z(weights, order):
     weights maps valence -> coupling value: a Fraction, or a SymbolPoly
     for marked-vertex bookkeeping, whose symbols (which must hold N) are
     then those of every coefficient; with no SymbolPoly weight they are N
-    alone, Laurent.  Every vertex carries one power of the counting
+    alone.  Every vertex carries one power of the counting
     variable g and the prefactor (N g_i)^{n_i} / (i^{n_i} n_i!).
     """
     valences = sorted(v for v in weights if weights[v] != 0)
@@ -286,12 +287,11 @@ def partition_series_Z(weights, order):
     if worst > COUNT_CAP:
         raise TooLarge("order %d needs up to %d half-edges, cap is %d"
                        % (order, worst, COUNT_CAP))
-    ring = next((w for w in weights.values() if isinstance(w, SymbolPoly)),
-                SymbolPoly.const(("N",), 0, ("N",)))
-    symbols, laurent = ring.symbols, ring.laurent
-    one = SymbolPoly.const(symbols, 1, laurent)
-    N = SymbolPoly.sym(symbols, "N", laurent)
-    coeffs = [SymbolPoly.const(symbols, 0, laurent) for _ in range(order + 1)]
+    symbols = next((w.symbols for w in weights.values()
+                    if isinstance(w, SymbolPoly)), ("N",))
+    one = SymbolPoly.const(symbols, 1)
+    N = SymbolPoly.sym(symbols, "N")
+    coeffs = [SymbolPoly.const(symbols, 0) for _ in range(order + 1)]
     for profile in vertex_profiles(valences, order):
         n_darts = sum(v * m for v, m in profile.items())
         if n_darts % 2:
@@ -301,7 +301,7 @@ def partition_series_Z(weights, order):
         for v, m in profile.items():
             pref = pref * (N * weights[v]) ** m
             pref = pref / Fraction(v ** m * factorial(m))
-        avg = gaussian_trace_average(profile, symbols, laurent)
+        avg = gaussian_trace_average(profile, symbols)
         coeffs[g_order] = coeffs[g_order] + pref * avg
     return TruncSeries("g", coeffs)
 

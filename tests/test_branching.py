@@ -155,8 +155,6 @@ def test_weierstrass_identity():
     assert weierstrass_scaling_check(4.5) < 1e-8
     with pytest.raises(DomainError):
         WeierstrassProfile(2.0)
-    with pytest.raises(DomainError):
-        weierstrass_scaling_check(3.0, r_grid=[3.5])
 
 
 def test_weierstrass_degenerates_to_two_point_scaling():

@@ -175,6 +175,25 @@ def test_resource_errors_exit_3_without_traceback(monkeypatch, capsys, error):
     assert "Traceback" not in captured.err
 
 
+def test_threads_default_is_read_on_every_call(monkeypatch, capsys):
+    # one parser per MAPFORGE_THREADS value, reused, yet each call echoes
+    # the value set when it runs
+    for value in ("3", "5", "3"):
+        monkeypatch.setenv("MAPFORGE_THREADS", value)
+        doc = run_json(capsys, "planar", "--order", "1", "--emit", "R")
+        assert doc["metadata"]["parameters"]["threads"] == int(value)
+        assert cli.build_parser() is cli.build_parser()
+
+
+def test_non_integer_threads_variable_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("MAPFORGE_THREADS", "abc")
+    code = main(["planar", "--order", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == ("BadParameter: MAPFORGE_THREADS='abc' is not "
+                            "an integer\n")
+
+
 def test_sample_at_area_1e5(capsys):
     # the sampler holds no recursion, so the default limit suffices
     assert sys.getrecursionlimit() == 1000

@@ -25,7 +25,6 @@ from series_oracles import pass_loop_solve
 
 ORDER = 5
 SYMS = ("t", "N")
-LAURENT = ("N",)
 
 
 def assert_same(got, want):
@@ -52,7 +51,7 @@ def assert_same(got, want):
 # --- random triangular systems ------------------------------------------
 
 def _poly(terms):
-    return SymbolPoly(SYMS, dict(terms), LAURENT)
+    return SymbolPoly(SYMS, dict(terms))
 
 
 rat = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
@@ -264,7 +263,7 @@ def test_callers_reproduce_their_answer_at_full_order(name, order,
 # --- edge cases, errors, and large orders at the default recursion limit -
 
 G2, G4 = TruncSeries.gen("g", 2), TruncSeries.gen("g", 4)
-N_ONE = SymbolPoly(SYMS, {(0, 1): 1}, LAURENT)
+N_ONE = SymbolPoly(SYMS, {(0, 1): 1})
 STABLE = "fixed point iteration did not stabilize"
 
 

@@ -143,6 +143,12 @@ def test_quartic_rows_reject_negative_distance():
         exact_Rn_quartic(2, order=-1)
 
 
+def test_exact_Rn_quartic_takes_exactly_one_of_g_and_order():
+    for kwargs in ({}, {"g": 0.1, "order": 3}):
+        with pytest.raises(TypeError, match="exactly one of g and order"):
+            exact_Rn_quartic(2, **kwargs)
+
+
 def test_fixed_area_ratios():
     assert fixed_area_ratio(0, 17) == 1
     assert fixed_area_ratio(1, 3) == F(119, 54)

@@ -360,12 +360,6 @@ def test_local_weight_average_refuses_an_empty_area():
         local_weight_average(0)
 
 
-def test_local_weight_average_refuses_an_order_below_the_area():
-    # coefficient A of a series truncated below A does not exist
-    with pytest.raises(ValueError, match="order must be >= A"):
-        local_weight_average(3, order=2)
-
-
 def test_weighted_Rn_solve_refuses_float_weights():
     with pytest.raises(TypeError):
         weighted_Rn_solve([0.1], [1], 1)

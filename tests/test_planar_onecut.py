@@ -104,7 +104,7 @@ def test_gamma_one_one_oracle():
     V = Potential({3: 1})
     sol = solve_one_cut(V, 2)
     # the weight a sets the ring (N, a) of every coefficient
-    a = SymbolPoly.sym(("N", "a"), "a", ("N",))
+    a = SymbolPoly.sym(("N", "a"), "a")
     f = connected_free_energy_F({3: F(1), 1: a}, 4)
     oracle = [2 * sympoly_coeff(f.coeffs[k + 2], N=2, a=2) for k in range(3)]
     assert gamma_one_one(V, sol).coeffs == oracle
@@ -142,7 +142,7 @@ def test_even_only():
 def test_r_of_z_quartic():
     r = r_of_z(Potential.quartic(), 3)
     # r = z + 3g r^2 fixed point
-    z = SymbolPoly.sym(("z",), "z", ("z",))
+    z = SymbolPoly.sym(("z",), "z")
     g = TruncSeries.gen("g", 3)
     assert r == z + 3 * g * r * r
 
@@ -259,7 +259,7 @@ def _fraction_coeff(rng):
 
 def _npoly_coeff(rng):
     terms = {(e,): _fraction_coeff(rng) for e in (-1, 0, 1)}
-    return SymbolPoly(("N",), terms, ("N",))
+    return SymbolPoly(("N",), terms)
 
 
 @pytest.mark.parametrize("wall", [None, "below 0", "at 0"],

@@ -22,6 +22,16 @@ def test_diffpoly_basics():
     assert (u - u).is_zero()
 
 
+def test_diffpoly_hash_and_foreign_equality():
+    # a constant equals its value, so sets and dicts merge the two
+    assert DiffPoly.const(F(1, 2)) == F(1, 2)
+    assert len({DiffPoly.const(F(1, 2)), F(1, 2)}) == 1
+    assert len({DiffPoly(), 0}) == 1
+    # a foreign type is not equal, and comparing does not raise
+    assert DiffPoly.u() != "x"
+    assert not DiffPoly.u() == "x"
+
+
 def test_leibniz_normal_ordering():
     u = DiffPoly.u()
     d = PseudoDiffOp({1: 1})
