@@ -22,7 +22,7 @@ methods.
 import random
 from itertools import accumulate, combinations, product
 
-from .wick_fatgraphs import CombinatorialMap, TooLarge
+from .wick_fatgraphs import CombinatorialMap, TooLarge, edge_pairing
 
 TREE_CAP = 8
 
@@ -468,12 +468,17 @@ def _quad_from_contour(vid, lab, root):
     n = len(lab)
     # succ[i] is the nearest later corner with label lab[i] - 1; once the
     # backward pass ends, first[l] is the first corner with label l, the
-    # successor of every corner with none later
+    # successor of every corner with none later.  Those corners, label-1
+    # ones included, are collected in descending order as wrap.
     first = [None] * (max(lab) + 1)
     succ = [None] * n
+    wrap = []
     for i in range(n - 1, -1, -1):
         l = lab[i]
-        succ[i] = first[l - 1]
+        j = first[l - 1]
+        if j is None:
+            wrap.append(i)
+        succ[i] = j
         first[l] = i
     # chords into a corner nest without crossing: rotating across corner j
     # we meet the chords from the nearest sources before j, then those that
@@ -483,12 +488,11 @@ def _quad_from_contour(vid, lab, root):
     sigma = [0] * (2 * n)
     head = list(range(0, 2 * n, 2))
     ones = []
-    for i in range(n):
-        if succ[i] is None:
-            l = lab[i]
-            if l == 1:
-                ones.append(i)
-                continue
+    for i in reversed(wrap):
+        l = lab[i]
+        if l == 1:
+            ones.append(i)
+        else:
             j = first[l - 1]
             if j is None:
                 raise NotWellLabeled("corner with no successor")
@@ -515,10 +519,7 @@ def _quad_from_contour(vid, lab, root):
     for i in ones:
         sigma[2 * i + 1] = d
         d = 2 * i + 1
-    alpha = [0] * (2 * n)
-    alpha[0::2] = range(1, 2 * n, 2)
-    alpha[1::2] = range(0, 2 * n, 2)
-    return CombinatorialMap(sigma, alpha, root=root), d
+    return CombinatorialMap(sigma, edge_pairing(2 * n), root=root), d
 
 
 def cvs_inverse(t):

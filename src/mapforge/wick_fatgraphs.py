@@ -42,33 +42,53 @@ class MalformedMap(ValueError):
     pass
 
 
+@lru_cache(maxsize=1)
+def edge_pairing(n):
+    """The alpha that pairs dart 2i with dart 2i+1 on n darts (n even),
+    as a tuple.  The tuple for the last n asked is kept, so the maps built
+    one after another at one size share it."""
+    alpha = [0] * n
+    alpha[0::2] = range(1, n, 2)
+    alpha[1::2] = range(0, n, 2)
+    return tuple(alpha)
+
+
 class CombinatorialMap:
     """Half-edge map: sigma rotates darts around vertices, alpha pairs them."""
 
     __slots__ = ("sigma", "alpha", "root")
 
     def __init__(self, sigma, alpha, root=None):
-        self.sigma = tuple(sigma)
-        self.alpha = tuple(alpha)
+        self.sigma = sigma = tuple(sigma)
+        self.alpha = alpha = tuple(alpha)
         self.root = root
-        n = len(self.sigma)
-        if len(self.alpha) != n:
+        n = len(sigma)
+        if len(alpha) != n:
             raise MalformedMap("sigma and alpha act on different dart sets")
-        alpha = self.alpha
         darts = range(n)
-        # alpha(alpha(d)) == d for every dart makes alpha a permutation of
-        # the darts (no negative or too large value passes), and sigma is
-        # then one exactly when it takes alpha's values.  The set of all
-        # darts, costly to build, only tells the two failures apart.
-        try:
-            involution = [alpha[a] for a in alpha] == list(darts)
-        except (IndexError, TypeError):
-            involution = False
-        if not involution or set(self.sigma) != set(alpha):
+        # The shared edge_pairing tuple itself is a fixed-point-free
+        # involution.  It is matched by identity: an equal tuple may hold
+        # 1.0, which compares equal to 1 but cannot index a dart list.
+        # Any other alpha is an involution when alpha(alpha(d)) == d for
+        # every dart, which also makes it a permutation of the darts (no
+        # negative or too large value passes).
+        pairing = n % 2 == 0 and alpha is edge_pairing(n)
+        if pairing:
+            involution = True
+        else:
+            try:
+                involution = [alpha[a] for a in alpha] == list(darts)
+            except (IndexError, TypeError):
+                involution = False
+        # With alpha a permutation of the darts, sigma is one exactly when
+        # its n values include alpha's n distinct ones: one set, of sigma's
+        # values.  The set of all darts only tells the two failures apart.
+        values = set(sigma)
+        if not (involution and values.issuperset(alpha)):
             every = set(darts)
-            if set(self.sigma) != every or set(alpha) != every:
+            if values != every or set(alpha) != every:
                 raise MalformedMap("not permutations")
-        if not involution or any(map(eq, alpha, darts)):
+        if not pairing and (not involution or any(map(eq, alpha, darts))):
             raise MalformedMap("alpha is not a fixed-point-free involution")
         if root is not None and (not isinstance(root, int)
                                  or root not in darts):

@@ -5,7 +5,7 @@ from itertools import accumulate, product
 from math import sqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import chi2 as chi2_dist
 
 from mapforge.series_core import TruncSeries
@@ -390,6 +390,11 @@ def _oracle_pointed_rows(A, n_max, samples, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 500), st.integers(0, 2 ** 32 - 1), st.integers(0, 999))
+# the benchmark's area, whose Fisher-Yates blocks draw up to 12 bits
+@example(2000, 9100, 0)
+@example(2000, 9100, 119)
+@example(2000, 1, 0)
+@example(2000, 1, 119)
 def test_uniform_sampler_matches_nested_oracle(A, seed, index):
     rng = _rng(seed, index)
     t = _oracle_free_labels(_oracle_plane_tree(A, rng), rng)

@@ -147,15 +147,50 @@ def test_validation_exit_codes(capsys):
     assert run(capsys, "oracle", "--weights", "x=1")[0] == 2
     assert run(capsys, "oracle", "--weights", "g0=1")[0] == 2
     assert run(capsys, "branching", "--p", "0.3", "--samples", "5")[0] == 2
-    with pytest.raises(SystemExit) as e:
-        main(["planar", "--no-such-flag"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["sample", "--faces", "4", "--samples", "1"])  # seed missing
+    assert run(capsys, "planar", "--no-such-flag")[0] == 2
+    # seed missing
+    assert run(capsys, "sample", "--faces", "4", "--samples", "1")[0] == 2
     for argv in (["planar", "--g4", "1/0"], ["branching", "--p", "1/0"]):
-        with pytest.raises(SystemExit) as e:
-            main(argv)
-        assert e.value.code == 2
+        assert run(capsys, *argv)[0] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("planar", "--order", "abc"),
+     "mapforge planar: argument --order: invalid int value: 'abc'"),
+    (("planar", "--no-such-flag"),
+     "mapforge: unrecognized arguments: --no-such-flag"),
+    (("sample", "--faces", "4", "--samples", "1"),
+     "mapforge sample: the following arguments are required: --seed"),
+    ((), "mapforge: the following arguments are required: command"),
+], ids=["bad-int", "unknown-flag", "missing-seed", "missing-subcommand"])
+def test_argparse_refusals_are_one_line(capsys, argv, message):
+    # main returns instead of raising SystemExit, and prints no usage block
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "BadParameter: %s\n" % message
+
+
+@pytest.mark.parametrize("argv, start", [
+    (("--version",), mapforge.__version__ + "\n"),
+    (("planar", "--help"), "usage: mapforge planar "),
+])
+def test_help_and_version_still_exit_0(capsys, argv, start):
+    with pytest.raises(SystemExit) as e:
+        main(list(argv))
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith(start)
+
+
+def test_faces_past_the_cap_exit_2_before_sampling(monkeypatch, capsys):
+    def no_sampling(*args):
+        raise AssertionError("sampled past the cap")
+    monkeypatch.setattr(cli, "sample_quadrangulation_uniform", no_sampling)
+    code = main(["sample", "--faces", str(cli.FACES_CAP + 1),
+                 "--samples", "1", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "BadParameter: faces must be <= %d\n" % cli.FACES_CAP
 
 
 def test_numeric_exit_codes(capsys):
@@ -258,25 +293,29 @@ def test_geodesic_g4_matches_window_solver(capsys, g4):
     assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _loaded_by_cli_import(module):
-    """What a fresh interpreter prints for `module in sys.modules` after
-    `import mapforge.cli`."""
+def _after_cli_import(expr):
+    """What a fresh interpreter prints for expr after `import
+    mapforge.cli`."""
     src = os.path.dirname(os.path.dirname(mapforge.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, mapforge.cli; print(%r in sys.modules)" % module],
+        [sys.executable, "-c", "import sys, mapforge.cli; print(%s)" % expr],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    assert _loaded_by_cli_import("scipy") == "False\n"
+    assert _after_cli_import("'scipy' in sys.modules") == "False\n"
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    assert _loaded_by_cli_import("numpy") == "False\n"
+    assert _after_cli_import("'numpy' in sys.modules") == "False\n"
+
+
+def test_cli_import_builds_no_edge_pairing():
+    assert _after_cli_import("mapforge.wick_fatgraphs.edge_pairing"
+                             ".cache_info().currsize") == "0\n"
 
 
 def test_metadata_echoes_parameters(capsys):

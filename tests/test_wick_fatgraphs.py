@@ -1,13 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mapforge.series_core import SymbolPoly
 from mapforge.wick_fatgraphs import (
     CombinatorialMap, MalformedMap, StructureViolation, TooLarge, catalan,
-    connected_free_energy_F, enumerate_pairings, faces_and_genus,
-    gaussian_trace_average, genus_split, partition_series_Z, star_sigma,
+    connected_free_energy_F, edge_pairing, enumerate_pairings,
+    faces_and_genus, gaussian_trace_average, genus_split, partition_series_Z,
+    star_sigma,
 )
+
+from map_oracles import map_check_message
 
 
 def double_factorial(n):
@@ -26,11 +30,79 @@ def double_factorial(n):
     ([1, 0], [-1, 0], "not permutations"),
     ([0, 1, 2, 3], [1, 0, 2, 3], "alpha is not a fixed-point-free involution"),
     ([0, 1, 2, 3], [1, 2, 3, 0], "alpha is not a fixed-point-free involution"),
+    # the shared edge pairing does not excuse a bad sigma
+    ([1, 1, 2, 3], "edge_pairing", "not permutations"),
+    # nor is a bad sigma reported as a fixed point of alpha
+    ([1, 1, 2, 3], [1, 0, 2, 3], "not permutations"),
 ])
 def test_malformed_maps(sigma, alpha, message):
+    if alpha == "edge_pairing":
+        # taken here, not at collection, so it is the cached tuple itself
+        alpha = edge_pairing(len(sigma))
     with pytest.raises(MalformedMap) as err:
         CombinatorialMap(sigma, alpha)
     assert str(err.value) == message
+
+
+# dart values a caller may pass by mistake: duplicates, negative and too
+# large ints, floats equal to a dart or not, and a bool
+_DART_VALUE = st.one_of(st.integers(-2, 9), st.sampled_from([1.0, 0.5, True]))
+
+
+@st.composite
+def _dart_lists(draw, n):
+    # a permutation of range(n), one with a stray value, or any values
+    kind = draw(st.sampled_from(["permutation", "spoiled", "any"]))
+    if kind == "any":
+        return draw(st.lists(_DART_VALUE, min_size=n, max_size=n))
+    out = draw(st.permutations(range(n)))
+    if kind == "spoiled" and n:
+        out[draw(st.integers(0, n - 1))] = draw(_DART_VALUE)
+    return out
+
+
+@st.composite
+def _map_arguments(draw):
+    n = draw(st.integers(0, 8))
+    sigma = draw(_dart_lists(n))
+    kind = draw(st.sampled_from(["edge_pairing", "equal_pairing",
+                                 "involution", "list", "other_length"]))
+    if kind == "edge_pairing" and n % 2 == 0:
+        alpha = edge_pairing(n)
+    elif kind == "equal_pairing" and n % 2 == 0 and n:
+        # equal to the shared pairing, with dart 0's or 1's partner written
+        # as a float or a bool: 1.0 cannot index a dart list, True can
+        alpha = list(edge_pairing(n))
+        i = draw(st.integers(0, 1))
+        alpha[i] = draw(st.sampled_from([float, bool]))(alpha[i])
+    elif kind == "involution":
+        # pairs the first 2k darts of a permutation and fixes the rest
+        perm = draw(st.permutations(range(n)))
+        k = draw(st.integers(0, n // 2))
+        alpha = list(range(n))
+        for a, b in zip(perm[0:2 * k:2], perm[1:2 * k:2]):
+            alpha[a], alpha[b] = b, a
+    elif kind == "other_length":
+        alpha = draw(_dart_lists(draw(st.integers(0, 9))))
+    else:
+        alpha = draw(_dart_lists(n))
+    root = draw(st.one_of(st.none(), _DART_VALUE))
+    return sigma, alpha, root
+
+
+@settings(max_examples=400, deadline=None)
+@given(_map_arguments())
+def test_map_checks_decide_as_the_oracle(args):
+    sigma, alpha, root = args
+    expected = map_check_message(sigma, alpha, root)
+    if expected is None:
+        m = CombinatorialMap(sigma, alpha, root)
+        assert (m.sigma, m.alpha, m.root) == (tuple(sigma), tuple(alpha),
+                                              root)
+    else:
+        with pytest.raises(MalformedMap) as err:
+            CombinatorialMap(sigma, alpha, root)
+        assert str(err.value) == expected
 
 
 @pytest.mark.parametrize("root", [-1, 4, 1.0])
