@@ -16,6 +16,7 @@ import json
 import os
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import __version__ as VERSION
@@ -294,21 +295,25 @@ def _cmd_sample(args):
         raise BadParameter("samples must be >= 1")
     rows = []
     profiles = []
-    dumped = []
-    for i in range(args.samples):
-        m = sample_quadrangulation_uniform(args.faces, args.seed, i)
-        counts, deg = distance_profile(m)
-        profiles.append({"sample": i, "root_degree": deg,
-                         "counts": {str(d): counts[d] for d in sorted(counts)}})
-        for d in sorted(counts):
-            rows.append((i, d, counts[d]))
-        if args.dump_maps:
-            dumped.append({"sigma": list(m.sigma), "alpha": list(m.alpha),
-                           "root": m.root})
-    if args.dump_maps:
-        with open(args.dump_maps, "w") as fh:
-            json.dump(dumped, fh, sort_keys=True)
-            fh.write("\n")
+    # --dump-maps writes the JSON list of the maps one map at a time, as
+    # each is sampled, so the file holds what json.dump of the list would
+    # and memory holds one map, not all of them; json.dumps, unlike
+    # json.dump, runs the C encoder
+    with open(args.dump_maps, "w") if args.dump_maps else nullcontext() as fh:
+        for i in range(args.samples):
+            m = sample_quadrangulation_uniform(args.faces, args.seed, i)
+            counts, deg = distance_profile(m)
+            profiles.append({"sample": i, "root_degree": deg, "counts": {
+                str(d): counts[d] for d in sorted(counts)}})
+            for d in sorted(counts):
+                rows.append((i, d, counts[d]))
+            if fh:
+                fh.write(", " if i else "[")
+                fh.write(json.dumps({"sigma": list(m.sigma),
+                                     "alpha": list(m.alpha),
+                                     "root": m.root}, sort_keys=True))
+        if fh:
+            fh.write("]\n")
     return ({"profiles": profiles}, ["sample", "distance", "count"], rows)
 
 

@@ -358,17 +358,22 @@ class TruncSeries:
 
     def _read(self, op, *args):
         """The series operation op, a _LazySeries method: it builds on this
-        series the node the online solver builds, read out to full order on
-        a round no unknown belongs to.  A lazy operand gives NotImplemented,
-        so that the node's reflected operation runs."""
+        series the nodes the online solver builds, then fills every node of
+        their graph, one degree at a time, to full order.  A lazy operand
+        gives NotImplemented, so that the node's reflected operation runs."""
         if args and isinstance(args[0], _LazySeries):
             return NotImplemented
-        node = op(_LazySeries(self.var, self.order, _READOUT, self.coeffs),
-                  *args)
-        if node is NotImplemented:
-            return node
-        node.coeff(node.order)
-        return TruncSeries(node.var, node.cs)
+        graph = []
+        try:
+            node = op(_LazySeries(self.var, self.order, graph, self.coeffs),
+                      *args)
+            if node is NotImplemented:
+                return node
+            for n in range(node.order + 1):
+                _fill(graph, n)
+            return TruncSeries(node.var, node.cs)
+        finally:
+            graph.clear()
 
     def __add__(self, other):
         return self._read(_LazySeries.__add__, other)
@@ -490,92 +495,56 @@ class TruncSeries:
         return TruncSeries(self.var, out)
 
 
-class _Round:
-    """What one online solve shares with the nodes of its equation: the
-    degree k of the round, whether the coefficient being computed has read
-    a placeholder X_k (taint), and the nodes whose coefficient k did."""
-
-    __slots__ = ("k", "taint", "dirty")
-
-    def __init__(self, k):
-        self.k = k
-        self.taint = False
-        self.dirty = []
-
-
-# the round TruncSeries operations read their nodes out on: no unknown
-# belongs to it and no coefficient has its degree -1, so nothing is tainted
-_READOUT = _Round(-1)
-
-
-def _node(x, var, order, rnd):
-    """x as a node of round rnd: a node as it is, a series through a copy of
-    its coefficients (no node writes to a series), and a scalar as the
-    constant series of that order and variable that pads it with zeros (a
-    float or a string is refused)."""
+def _node(x, var, order, graph):
+    """x as a node of graph: a node as it is, a series through its
+    coefficients (no node writes to a series), a scalar as the constant
+    series of that order and variable (a float or a string is refused)."""
     if isinstance(x, _LazySeries):
         return x
     if isinstance(x, TruncSeries):
-        return _LazySeries(x.var, x.order, rnd, x.coeffs)
-    return _LazySeries(var, order, rnd, (_as_coeff(x),))
+        return _LazySeries(x.var, x.order, graph, x.coeffs)
+    return _LazySeries(var, order, graph,
+                       [_as_coeff(x)] + [Fraction(0)] * order)
+
+
+def _fill(nodes, n):
+    """Set coefficient n of each node whose order reaches n, in the order
+    given, in place of any it had."""
+    for node in nodes:
+        if n <= node.order:
+            node.cs[n:] = [node._next(n)]
 
 
 class _LazySeries:
     """A series operation as a node: the one place its formula lives.
 
     TruncSeries arithmetic builds a node and reads it out at once;
-    fixed_point_solve builds a DAG of them once, on lazy unknowns, and reads
-    it one degree per round.  Coefficients are computed on demand, in
-    degree order, and kept in cs.  A subclass's _next(n) computes
-    coefficient n from its operands, its sums of products through _dot, so
-    each coefficient has one value and one Python type whichever route
-    reads it.  The base class itself holds a series or scalar operand, or
-    an unknown: cs holds its coefficients, and _next gives 0 after them.
-    Beyond order, the least order of its operands, a node reads 0, as an
-    operation truncates there and the solve pads."""
+    fixed_point_solve builds a graph of them once, on lazy unknowns, and
+    fills it one degree per round.  The base class holds a series or
+    scalar operand, or an unknown, in cs.  A subclass (an _Op) appends
+    itself to its operands' graph list when it is built, after them, so
+    creation order is a topological order: _fill runs nodes in it, and
+    _next(n) reads the operands' coefficients straight from their cs, so
+    no read recurses.  Its sums of products go through _dot, so each
+    coefficient has one value and one Python type whichever route fills
+    it.  A node is filled up to its order, the least order of its operands,
+    as an operation truncates there; the solve reads 0 beyond it (pads)."""
 
-    __slots__ = ("var", "order", "rnd", "cs", "dirty")
+    __slots__ = ("var", "order", "graph", "cs")
 
-    def __init__(self, var, order, rnd, cs=()):
+    def __init__(self, var, order, graph, cs):
         self.var = var
         self.order = order
-        self.rnd = rnd
-        self.cs = list(cs)
-        self.dirty = False
-
-    def _next(self, n):
-        return Fraction(0)
-
-    def coeff(self, n):
-        cs = self.cs
-        rnd = self.rnd
-        while len(cs) <= n:
-            i = len(cs)
-            if i > self.order:
-                cs.append(Fraction(0))
-            elif i == rnd.k:
-                # coefficient k may read the placeholder X_k; if it does,
-                # the round drops it once X_k is known
-                outer = rnd.taint
-                rnd.taint = False
-                cs.append(self._next(i))
-                if rnd.taint:
-                    self.dirty = True
-                    rnd.dirty.append(self)
-                rnd.taint = outer
-            else:
-                cs.append(self._next(i))
-        if self.dirty and n == rnd.k:
-            rnd.taint = True
-        return cs[n]
+        self.graph = graph
+        self.cs = cs
 
     def _operand(self, other):
-        """other as a node of this round, in this node's variable; None for
+        """other as a node of this graph, in this node's variable; None for
         a type to which a series operation gives NotImplemented."""
         if not isinstance(other, (_LazySeries, TruncSeries, int, Fraction,
                                   SymbolPoly)):
             return None
-        node = _node(other, self.var, self.order, self.rnd)
+        node = _node(other, self.var, self.order, self.graph)
         if node.var != self.var:
             raise ValueError("variable mismatch")
         return node
@@ -630,8 +599,9 @@ class _LazySeries:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def map_coeffs(self, f):
@@ -646,10 +616,16 @@ class _Op(_LazySeries):
 
     def __init__(self, a, b=None, p=None):
         order = a.order if b is None else min(a.order, b.order)
-        _LazySeries.__init__(self, a.var, order, a.rnd)
+        _LazySeries.__init__(self, a.var, order, a.graph, [])
+        a.graph.append(self)
         self.a = a
         self.b = b
         self.p = p
+
+    def _reads(self):
+        """Each operand with the lag of its reads: coefficient n reads the
+        operand's coefficients up to n - lag."""
+        return ((self.a, 0),) if self.b is None else ((self.a, 0), (self.b, 0))
 
 
 class _Pointwise(_Op):
@@ -659,31 +635,28 @@ class _Pointwise(_Op):
 
     def _next(self, n):
         if self.b is None:
-            return self.p(self.a.coeff(n))
-        return self.p(self.a.coeff(n), self.b.coeff(n))
+            return self.p(self.a.cs[n])
+        return self.p(self.a.cs[n], self.b.cs[n])
 
 
 class _Mul(_Op):
     """Coefficient n of a*b, zero terms skipped.  A coefficient n of an
-    operand is read only when the other factor is nonzero, so g*f(X) never
-    computes f's coefficient n from the placeholder X_n."""
+    operand is read only when the other factor's constant term is nonzero
+    (lag 0), so g*f(X) never reads f's coefficient n, nor computes it from
+    the placeholder X_n."""
 
     __slots__ = ()
 
     def _next(self, n):
-        a, b = self.a, self.b
+        A, B = self.a.cs, self.b.cs
         xs, ys = [], []
-        x = a.coeff(0)
+        x = A[0]
         if x:
-            y = b.coeff(n)
+            y = B[n]
             if y:
                 xs.append(x)
                 ys.append(y)
         if n:
-            # degrees below n are final: read them in place
-            a.coeff(n - 1)
-            b.coeff(n - 1)
-            A, B = a.cs, b.cs
             for i in range(1, n):
                 x = A[i]
                 if x:
@@ -693,11 +666,15 @@ class _Mul(_Op):
                         ys.append(y)
             y = B[0]
             if y:
-                x = a.coeff(n)
+                x = A[n]
                 if x:
                     xs.append(x)
                     ys.append(y)
         return _dot(xs, ys)
+
+    def _reads(self):
+        return ((self.a, 0 if self.b.cs[0] else 1),
+                (self.b, 0 if self.a.cs[0] else 1))
 
 
 class _Div(_Op):
@@ -707,13 +684,35 @@ class _Div(_Op):
     __slots__ = ()
 
     def _next(self, n):
-        b = self.b
-        b0 = b.coeff(0)
-        if not b0:
+        B = self.b.cs
+        if not B[0]:
             raise NonUnitDivisor("division by series with zero constant term")
-        b.coeff(n)
-        acc = self.a.coeff(n) - _dot(self.cs[:n], b.cs[n:0:-1])
-        return _coeff_div(acc, b0)
+        acc = self.a.cs[n] - _dot(self.cs[:n], B[n:0:-1])
+        return _coeff_div(acc, B[0])
+
+
+def _schedule(graph, unknowns, outs, order):
+    """(needed, rest): the nodes each round k > 0 fills before X_k is set
+    and after, in creation order, as round 0's constant terms fix them.
+    An output reaches the needed nodes through lag-0 reads, and the live
+    ones among them reach an unknown that way; rest is the live nodes and
+    those not needed.  A reverse pass lowers each node's order to the last
+    degree an output reads of it, so no coefficient above it is computed."""
+    need = dict.fromkeys(outs, order)
+    needed = set(outs)
+    for node in reversed(graph):
+        node.order = top = min(node.order, need.get(node, -1))
+        for x, lag in node._reads():
+            need[x] = max(need.get(x, -1), top - lag)
+            if not lag and node in needed:
+                needed.add(x)
+    live = set(unknowns)
+    for node in graph:
+        if node in needed and any(x in live for x, lag in node._reads()
+                                  if not lag):
+            live.add(node)
+    return ([node for node in graph if node in needed],
+            [node for node in graph if node in live or node not in needed])
 
 
 def fixed_point_solve(equation, seed, order, var="g"):
@@ -726,45 +725,45 @@ def fixed_point_solve(equation, seed, order, var="g"):
     and keeps a true Y_k as it is.
 
     The solve is online.  The equation runs once, on lazy unknowns, and
-    builds a DAG of the memoised nodes that TruncSeries arithmetic reads
-    out at once; it may use +, -, *, / and integer ** on them, with series,
-    int, Fraction and SymbolPoly operands, and map_coeffs.  Round k pulls
-    coefficient k of every output, reading X_k as the seed when k = 0 and
-    0 after it; then it sets every X_k, and each node whose coefficient k
-    read that placeholder drops it, to be recomputed from the true X_k when
-    a later round needs it.  So each coefficient of each node is computed
-    once (twice where it read a placeholder), and coefficient k is what
-    equation(X truncated to order k) gives there.  The round then re-reads
-    coefficient k of every output: no node reads above its own degree, so
-    that is F(X)_k, and it must equal X_k, or the map is not triangular.
+    builds a graph of the nodes that TruncSeries arithmetic reads out at
+    once; it may use +, -, *, / and integer ** on them, with series, int,
+    Fraction and SymbolPoly operands, and map_coeffs.  Round k fills
+    coefficient k of the nodes in creation order, reading the placeholder
+    X_k as the seed when k = 0 and 0 after it, and sets X_k from the
+    outputs.  The nodes that read the placeholder are then filled again
+    from X_k, so each coefficient is what equation(X truncated to order k)
+    gives there, and coefficient k of each output, F(X)_k, must equal X_k,
+    or the map is not triangular.  Round 0 fills every node twice; its
+    constant terms then fix the schedule of the later rounds (_schedule).
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     system = isinstance(seed, tuple)
-    rnd = _Round(0)
-    # an unknown's cs holds the solved coefficients and, in round k, the
-    # placeholder X_k a pass over truncations read (the seed at k = 0, the
-    # padding 0 after it); it is dirty, so reading X_k taints the reader
-    unknowns = tuple(_LazySeries(var, order, rnd, (_as_coeff(s),))
+    graph = []
+    # an unknown's cs holds the solved coefficients, then the placeholders
+    # X_k a pass over truncations reads: the seed at k = 0, 0 after it
+    unknowns = tuple(_LazySeries(var, order, graph, [_as_coeff(s)]
+                                 + [Fraction(0)] * order)
                      for s in (seed if system else (seed,)))
-    for x in unknowns:
-        x.dirty = True
-    outs = [_node(y, var, order, rnd) for y in (
-        equation(unknowns) if system else (equation(unknowns[0]),))]
-    for k in range(order + 1):
-        rnd.k = k
-        if k:
-            for x in unknowns:
-                x.cs.append(Fraction(0))
-        xk = [y.coeff(k) for y in outs]
-        for x, c in zip(unknowns, xk):
-            x.cs[k] = c
-        for done in rnd.dirty:
-            done.cs.pop()
-            done.dirty = False
-        rnd.dirty = []
-        rnd.k = -1
-        if [y.coeff(k) for y in outs] != xk:
-            raise NotContracting("fixed point iteration did not stabilize")
-    xs = tuple(TruncSeries(y.var, x.cs) for x, y in zip(unknowns, outs))
-    return xs if system else xs[0]
+    try:
+        outs = [_node(y, var, order, graph) for y in (
+            equation(unknowns) if system else (equation(unknowns[0]),))]
+        # round 0 fills every node from the seed, then again from X_0
+        needed = rest = graph
+        for k in range(order + 1):
+            _fill(needed, k)
+            xk = [y.cs[k] if k <= y.order else Fraction(0) for y in outs]
+            for x, c in zip(unknowns, xk):
+                x.cs[k] = c
+            _fill(rest, k)
+            if [y.cs[k] if k <= y.order else Fraction(0)
+                    for y in outs] != xk:
+                raise NotContracting("fixed point iteration did not stabilize")
+            if not k:
+                needed, rest = _schedule(graph, unknowns, outs, order)
+        xs = tuple(TruncSeries(y.var, x.cs) for x, y in zip(unknowns, outs))
+        return xs if system else xs[0]
+    finally:
+        # each node holds the list and the list holds the node: break the
+        # cycle, so the graph is freed on return, not by the collector
+        graph.clear()

@@ -8,6 +8,7 @@ import pytest
 
 import mapforge
 from mapforge import cli
+from mapforge.bijections import sample_quadrangulation_uniform
 from mapforge.cli import main, diffpoly_text
 from mapforge.geodesic import integral_of_motion, solve_Rn_series
 from mapforge.series_core import TruncSeries, rat_parse, rat_str
@@ -105,6 +106,19 @@ def test_dump_maps(tmp_path, capsys):
         a = m["alpha"]
         assert all(a[a[d]] == d and a[d] != d for d in range(len(a)))
         assert sorted(m["sigma"]) == list(range(len(a)))
+
+
+def test_dump_maps_streams_the_json_of_the_whole_list(tmp_path, capsys):
+    # the maps are written one at a time, and the file is byte for byte
+    # json.dumps of the list of every sampled map
+    path = tmp_path / "maps.json"
+    code, _ = run(capsys, "sample", "--faces", "6", "--samples", "4",
+                  "--seed", "9", "--dump-maps", str(path))
+    assert code == 0
+    maps = [sample_quadrangulation_uniform(6, 9, i) for i in range(4)]
+    want = json.dumps([{"sigma": list(m.sigma), "alpha": list(m.alpha),
+                        "root": m.root} for m in maps], sort_keys=True)
+    assert path.read_bytes() == (want + "\n").encode()
 
 
 def test_local_finite_area_exact(capsys):

@@ -5,6 +5,7 @@ of each coefficient: the online route must give what one full pass of the
 equation per degree gives.
 """
 
+import gc
 import sys
 from fractions import Fraction as F
 from math import comb
@@ -313,6 +314,22 @@ def test_a_coefficient_that_read_a_placeholder_is_computed_twice():
     assert len(calls) == 2 * (ORDER + 1)
 
 
+def test_a_coefficient_read_one_degree_late_is_computed_once():
+    # g * M reads M's coefficient k in round k + 1 and never M_ORDER, so
+    # after round 0, which computes every coefficient 0 twice, M is
+    # computed once per degree from 1 to ORDER - 1, and no more
+    calls = []
+
+    def count(c):
+        calls.append(c)
+        return c
+
+    g = TruncSeries.gen("g", ORDER)
+    got = fixed_point_solve(lambda x: 1 + g * x.map_coeffs(count), 1, ORDER)
+    assert got.coeffs == [1] * (ORDER + 1)
+    assert len(calls) == 2 + (ORDER - 1)
+
+
 def test_non_triangular_update_raises_not_contracting():
     # Y reads Y_k with the wrong weight: the update does not return Y_k
     g = TruncSeries.gen("g", 4)
@@ -341,6 +358,31 @@ def test_quartic_one_cut_at_order_200():
     # R = 1 + 3 g R^2: [g^k] R = 3^k Catalan(k)
     assert R.coeffs == [3 ** k * comb(2 * k, k) // (k + 1)
                         for k in range(201)]
+
+
+def test_one_cut_at_vertex_degree_400():
+    # path_sum builds a graph about as deep as the vertex degree; the
+    # rounds fill it in creation order, with no nested read to recurse
+    assert sys.getrecursionlimit() == 1000
+    sol = solve_one_cut(Potential({400: 1}), 2)
+    # R = 1 + g C(399, 200) R^200: the 399-step paths from height n to n-1
+    c = comb(399, 200)
+    assert sol.R.coeffs == [1, c, 200 * c * c]
+    assert sol.S.is_zero()
+
+
+def test_no_reference_cycle_outlives_a_call():
+    # every node holds its graph list, which holds the node: a solve and
+    # a read-out clear the list on return, so the collector finds nothing
+    gc.collect()
+    gc.disable()
+    try:
+        solve_one_cut(Potential({3: 1, 4: 1}), 6)
+        assert gc.collect() == 0
+        (TruncSeries.gen("g", 5) + 1) ** 3 / 7
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_quartic_Rn_window_at_order_30():

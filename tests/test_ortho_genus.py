@@ -15,6 +15,8 @@ from mapforge.ortho_genus import (
     two_marked_faces, _N, _npoly,
 )
 
+from genus_oracles import cubic_map_counts
+
 
 def test_gaussian_moments():
     mom = moments_from_potential({}, 2, 6)
@@ -228,6 +230,18 @@ def test_free_energy_matches_pairing_oracle_all_genus(couplings, order):
     # every genus at once, up to the 48 half-edges of the counting cap
     assert (exact_free_energy_FN(couplings, order)
             == connected_free_energy_F(couplings, order))
+
+
+def test_cubic_free_energy_matches_goulden_jackson_at_every_genus():
+    # the Wick pairings stop at order 16 (48 half-edges); up to order 40,
+    # each genus-h entry at order 2n is T(n, h)/(6n), and odd orders vanish
+    FN = exact_free_energy_FN({3: F(1)}, 40)
+    assert all(not FN.coeffs[k] for k in range(1, 41, 2))
+    T = cubic_map_counts(20, 20)
+    want = {(2 * n, h): F(T[n][h], 6 * n)
+            for n in range(1, 21) for h in range(21) if T[n][h]}
+    assert len(want) == 130
+    assert genus_extract(FN) == want
 
 
 def test_genus_extraction():
