@@ -24,7 +24,7 @@ from .series_core import TruncSeries, rat_str, rat_parse
 from .planar_onecut import (OutOfOneCut, EvenOnly, Potential, quartic_solution,
                             planar_free_energy, gamma_two_sameface)
 from .wick_fatgraphs import (StructureViolation, TooLarge,
-                             connected_free_energy_F, genus_split)
+                             connected_free_energy_F)
 from .ortho_genus import NoPhysicalRoot, exact_free_energy_FN, genus_extract
 from .string_eq import DeepenCutoff, AlgebraBug, kdv_residues, commutator_check
 from .geodesic import (DomainError, exact_Rn_quartic, integral_of_motion,
@@ -173,19 +173,11 @@ def _cmd_oracle(args):
     F = connected_free_energy_F(weights, args.order)
     results = {}
     rows = []
-    for k in range(1, args.order + 1):
-        c = F.coeffs[k]
-        if not c:
-            continue
-        split = genus_split(c)
-        if args.genus_split:
-            results[str(k)] = {str(h): rat_str(q)
-                               for h, q in sorted(split.items())}
-            rows.extend((k, h, q) for h, q in sorted(split.items()))
-        else:
-            results[str(k)] = {"N^%d" % (2 - 2 * h): rat_str(q)
-                               for h, q in sorted(split.items())}
-            rows.extend((k, 2 - 2 * h, q) for h, q in sorted(split.items()))
+    for (k, h), q in sorted(genus_extract(F).items()):
+        col = h if args.genus_split else 2 - 2 * h
+        key = str(col) if args.genus_split else "N^%d" % col
+        results.setdefault(str(k), {})[key] = rat_str(q)
+        rows.append((k, col, q))
     header = ["order", "genus" if args.genus_split else "N-exponent",
               "coefficient"]
     return results, header, rows

@@ -175,25 +175,13 @@ def weighted_Rn_solve(rho, sigma, order):
 
 
 def quartic_R0_rho_sigma(order):
-    """R_0(g | rho, sigma): the unique solution with R_0 = rho + O(g) of
-    the quartic relation F(R_0) = 0 obtained by eliminating Z_1, as a
-    series with coefficients polynomial in (rho, sigma).  Coefficient A of
-    R_0 enters [g^A] F as (1 - rho sigma) R_{0,A}, so R_0 + F(R_0) /
-    (rho sigma - 1) is a triangular update."""
-    syms = ("rho", "sigma")
-    rho = SymbolPoly.sym(syms, "rho")
-    sig = SymbolPoly.sym(syms, "sigma")
-    Rb = unit_quartic_solution(order).R
-    g = TruncSeries.gen("g", order)
-    GR = g * Rb * (1 - g * Rb * Rb)
-    quotient = _exact_quotient(syms, "rho", "sigma")
-
-    def eq(x):
-        F = (x - rho) * (1 + x - g * sig ** 2 * x * x - rho) \
-            - sig * x * (x - rho + GR) + g * sig ** 3 * x ** 3
-        return x + F.map_coeffs(quotient)
-
-    return fixed_point_solve(eq, rho, order)
+    """R_0(g | rho, sigma) = Z_0 / sigma_0 of weighted_Zn_solve(0, order),
+    its exponents relabelled to the symbols (rho, sigma): a series with
+    coefficients polynomial in (rho, sigma), R_0 = rho + O(g)."""
+    z0 = weighted_Zn_solve(0, order)[0]
+    sig = SymbolPoly.sym(("rho0", "sigma0"), "sigma0")
+    return (z0 / sig).map_coeffs(
+        lambda c: SymbolPoly(("rho", "sigma"), c.terms))
 
 
 def integrate_sigma_log(series):
@@ -312,39 +300,38 @@ def gamma_infinite(rho, sigma):
     return top
 
 
-def gamma_rho_series(order):
-    """Series of Gamma(rho, 1) in rho from the cubic relation."""
-    var = "rho"
-    rho = TruncSeries.gen(var, order)
-    den = 16 - 15 * rho
+def _gamma_series(rho, sigma, var, order):
+    """The root G = O(var) of the Gamma cubic, rho and sigma a series in var
+    and a number, or the other way round: G = -(a0 + a2 G^2 + a3 G^3)/a1."""
+    a3, a2, a1, a0 = _gamma_cubic_coeffs(rho, sigma)
 
     def eq(G):
-        return (6 * rho - (16 - 12 * rho) * G * G
-                - (4 - 3 * rho) * G * G * G) / den
+        G2 = G * G
+        return -(a0 + a2 * G2 + a3 * G2 * G) / a1
 
     return fixed_point_solve(eq, 0, order, var=var)
+
+
+def gamma_rho_series(order):
+    """Series of Gamma(rho, 1) in rho from the cubic relation."""
+    return _gamma_series(TruncSeries.gen("rho", order), 1, "rho", order)
 
 
 def gamma_sigma_series(order):
     """Series of Gamma(1, sigma) in sigma from the cubic relation."""
-    var = "sigma"
-    s = TruncSeries.gen(var, order)
-    den = 18 - 17 * s
-
-    def eq(G):
-        return (6 * s - (24 - 20 * s) * G * G - (6 - 5 * s) * G * G * G) / den
-
-    return fixed_point_solve(eq, 0, order, var=var)
+    return _gamma_series(1, TruncSeries.gen("sigma", order), "sigma", order)
 
 
 def gamma_rho_closed_form(order):
-    """2 / sqrt(4 - 3 rho) - 1 as a series in rho."""
+    """2 / sqrt(4 - 3 rho) - 1 as a series in rho: the test oracle of
+    gamma_rho_series."""
     rho = TruncSeries.gen("rho", order)
     return (1 - Fraction(3, 4) * rho).pow_frac(Fraction(-1, 2)) - 1
 
 
 def gamma_sigma_closed_form(order):
-    """(sqrt((6 + 3 sigma)/(6 - 5 sigma)) - 1) / 2 as a series in sigma."""
+    """(sqrt((6 + 3 sigma)/(6 - 5 sigma)) - 1) / 2 as a series in sigma:
+    the test oracle of gamma_sigma_series."""
     s = TruncSeries.gen("sigma", order)
     ratio = (6 + 3 * s) / (6 - 5 * s)
     return (ratio.sqrt() - 1) / 2

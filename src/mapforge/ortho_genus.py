@@ -34,7 +34,7 @@ from math import comb, factorial
 from .series_core import SymbolPoly, TruncSeries, fixed_point_solve
 from .planar_onecut import (EvenOnly, Potential, path_sum, solve_one_cut,
                             string_equations)
-from .wick_fatgraphs import StructureViolation, genus_split, vertex_profiles
+from .wick_fatgraphs import StructureViolation, genus_split, vertex_weights
 
 NSYM = ("N",)
 # coefficients of the string-equation unknowns: polynomial in m, Laurent in N
@@ -77,20 +77,18 @@ def moments_from_potential(couplings, order, top):
     (m-1)!! N^{-m/2} for even m and vanish for odd m, so odd valences
     contribute where the total degree is even.
     """
-    valences = sorted(v for v in couplings if couplings[v] != 0)
+    # each profile's half-edge count and weight, shared by every moment
+    profiles = [(sum(v * c for v, c in profile.items()), n, w)
+                for profile, n, w in vertex_weights(couplings, order, _N())]
     table = []
     for k in range(top + 1):
         coeffs = [_npoly() for _ in range(order + 1)]
-        for profile in vertex_profiles(valences, order):
-            n = sum(profile.values())
-            m = k + sum(v * c for v, c in profile.items())
+        for darts, n, w in profiles:
+            m = k + darts
             if m % 2:
                 continue
-            pref = _npoly(1)
-            for v, c in profile.items():
-                pref = pref * (_N() * couplings[v] / v) ** c / factorial(c)
             gauss = _double_factorial(m - 1) * _N(-m // 2) if m else _npoly(1)
-            coeffs[n] = coeffs[n] + pref * gauss
+            coeffs[n] = coeffs[n] + w * gauss
         table.append(TruncSeries("g", coeffs))
     return table
 

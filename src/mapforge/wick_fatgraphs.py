@@ -19,7 +19,6 @@ connected_free_energy_F of valences 1..8 to order 6 takes 0.5-0.8 s on a
 2-vCPU host, and at 64 half-edges 1.6-4 s.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import eq
@@ -272,25 +271,32 @@ def catalan(p):
     return factorial(2 * p) // (factorial(p) ** 2 * (p + 1))
 
 
-def vertex_profiles(valences, budget):
-    """All vertex multiplicity assignments with at most budget vertices.
+def vertex_weights(weights, order, N):
+    """Every vertex profile with at most order vertices, with its weight.
 
-    Yields dicts valence -> multiplicity (zero entries omitted), the
-    multiplicity of valences[0] varying slowest.
+    Yields (profile, k, w): profile maps valence -> multiplicity n_v over
+    the valences of nonzero weight (zero entries omitted, the multiplicity
+    of the smallest valence varying slowest), k = sum n_v is its g-order,
+    and w = prod_v (N g_v)^{n_v} / (v^{n_v} n_v!), g_v = weights[v], in the
+    symbols of the SymbolPoly N.  Each added vertex scales w once, by
+    N g_v / (v n_v).
     """
+    valences = sorted(v for v in weights if weights[v] != 0)
+    steps = [N * weights[v] / v for v in valences]
     out = {}
 
-    def rec(i, left):
+    def rec(i, left, w):
         if i == len(valences):
-            yield dict(out)
+            yield dict(out), order - left, w
             return
-        for c in range(left + 1):
-            if c:
-                out[valences[i]] = c
-            yield from rec(i + 1, left - c)
-            out.pop(valences[i], None)
+        yield from rec(i + 1, left, w)
+        for c in range(1, left + 1):
+            out[valences[i]] = c
+            w = w * steps[i] / c
+            yield from rec(i + 1, left - c, w)
+        out.pop(valences[i], None)
 
-    yield from rec(0, budget)
+    yield from rec(0, order, SymbolPoly.const(N.symbols, 1))
 
 
 def partition_series_Z(weights, order):
@@ -302,27 +308,18 @@ def partition_series_Z(weights, order):
     alone.  Every vertex carries one power of the counting
     variable g and the prefactor (N g_i)^{n_i} / (i^{n_i} n_i!).
     """
-    valences = sorted(v for v in weights if weights[v] != 0)
-    worst = order * max(valences, default=0)
+    worst = order * max((v for v in weights if weights[v] != 0), default=0)
     if worst > COUNT_CAP:
         raise TooLarge("order %d needs up to %d half-edges, cap is %d"
                        % (order, worst, COUNT_CAP))
     symbols = next((w.symbols for w in weights.values()
                     if isinstance(w, SymbolPoly)), ("N",))
-    one = SymbolPoly.const(symbols, 1)
     N = SymbolPoly.sym(symbols, "N")
     coeffs = [SymbolPoly.const(symbols, 0) for _ in range(order + 1)]
-    for profile in vertex_profiles(valences, order):
-        n_darts = sum(v * m for v, m in profile.items())
-        if n_darts % 2:
+    for profile, k, w in vertex_weights(weights, order, N):
+        if sum(v * m for v, m in profile.items()) % 2:
             continue
-        g_order = sum(profile.values())
-        pref = one
-        for v, m in profile.items():
-            pref = pref * (N * weights[v]) ** m
-            pref = pref / Fraction(v ** m * factorial(m))
-        avg = gaussian_trace_average(profile, symbols)
-        coeffs[g_order] = coeffs[g_order] + pref * avg
+        coeffs[k] = coeffs[k] + w * gaussian_trace_average(profile, symbols)
     return TruncSeries("g", coeffs)
 
 

@@ -61,6 +61,34 @@ def test_oracle_genus_split(capsys):
     assert doc["results"]["2"] == {"0": "9/8", "1": "15/8"}
 
 
+# (g-order, genus, coefficient) of F for g3 = 1, g4 = 1/2 to order 6
+ORACLE_G3_G4 = [
+    (1, 0, "1/4"), (1, 1, "1/8"),
+    (2, 0, "91/96"), (2, 1, "61/96"),
+    (3, 0, "57/16"), (3, 1, "85/16"), (3, 2, "15/32"),
+    (4, 0, "6775/384"), (4, 1, "36397/768"), (4, 2, "3767/256"),
+    (5, 0, "16249/160"), (5, 1, "140213/320"), (5, 2, "102303/320"),
+    (5, 3, "945/64"),
+    (6, 0, "993913/1536"), (6, 1, "9582305/2304"), (6, 2, "8777639/1536"),
+    (6, 3, "284727/256"),
+]
+
+
+def test_oracle_outputs_are_pinned(capsys):
+    argv = ("oracle", "--weights", "g3=1", "g4=1/2", "--order", "6")
+    want = {}
+    for k, h, q in ORACLE_G3_G4:
+        want.setdefault(str(k), {})["N^%d" % (2 - 2 * h)] = q
+    assert run_json(capsys, *argv)["results"] == want
+    for flags, column, key in (((), "N-exponent", lambda h: 2 - 2 * h),
+                               (("--genus-split",), "genus", lambda h: h)):
+        code, out = run(capsys, *argv, *flags, "--format", "csv")
+        assert code == 0
+        rows = [l for l in out.splitlines() if not l.startswith("#")]
+        assert rows == ["order,%s,coefficient" % column] + [
+            "%d,%d,%s" % (k, key(h), q) for k, h, q in ORACLE_G3_G4]
+
+
 def test_genus_csv_rows(capsys):
     code, out = run(capsys, "genus", "--g4", "1", "--order", "3",
                     "--max-genus", "1", "--format", "csv")

@@ -228,8 +228,9 @@ def eagerly_checked(orders):
     """fixed_point_solve, then the equation applied once more to the
     answer, on ordinary series at full order, which must reproduce it.
     That checks X = equation(X) with the node formulas but without the
-    solver's rounds and taint bookkeeping, which its own per-round check
-    relies on.  Each solve appends its order to orders."""
+    solver's rounds and fill order (the nodes that read X_k filled again
+    once X_k is set), which its own per-round check relies on.  Each solve
+    appends its order to orders."""
 
     def solve(equation, seed, order, var="g"):
         got = fixed_point_solve(equation, seed, order, var)
@@ -298,9 +299,9 @@ def test_edge_cases_of_the_fixed_point_check(equation, seed, order, want):
 
 
 def test_a_coefficient_that_read_a_placeholder_is_computed_twice():
-    # M reads X_k in round k, so its coefficient k is dropped once X_k is
-    # set and recomputed from it by the round's check, then kept: each
-    # coefficient of M is computed twice, and no more
+    # M reads X_k in round k, so its coefficient k is filled from the
+    # placeholder before X_k is set and filled again from X_k after it,
+    # then kept: each coefficient of M is computed twice, and no more
     calls = []
 
     def count(c):

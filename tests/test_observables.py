@@ -130,8 +130,8 @@ def _tree_weight_stats(t):
 def test_weighted_solve_matches_weighted_tree_enumeration():
     # R_0(g|rho,sigma) counts well-labeled trees with rho per label-0
     # vertex and sigma per edge endpoint at a label-0 vertex
-    Q = quartic_R0_rho_sigma(3)
-    for A in (1, 2, 3):
+    Q = quartic_R0_rho_sigma(6)
+    for A in range(1, 7):
         terms = {}
         for t in enumerate_well_labeled(A):
             v0, ends = _tree_weight_stats(t)
